@@ -7,58 +7,97 @@
 
 namespace availsim::press {
 
+namespace {
+std::uint32_t slot_of(workload::FileId file) {
+  return static_cast<std::uint32_t>(file) + 1;
+}
+workload::FileId file_of(std::uint32_t slot) {
+  return static_cast<workload::FileId>(slot - 1);
+}
+}  // namespace
+
 LruCache::LruCache(std::size_t capacity_bytes, std::size_t file_bytes)
     : capacity_files_(std::max<std::size_t>(1, capacity_bytes / file_bytes)) {}
 
 bool LruCache::contains(workload::FileId file) const {
-  return map_.contains(file);
+  const std::uint32_t s = slot_of(file);
+  return s < prev_.size() && prev_[s] != kAbsent;
+}
+
+void LruCache::grow_to(workload::FileId file) {
+  assert(file >= 0);
+  const std::size_t need = std::size_t{slot_of(file)} + 1;
+  if (need <= prev_.size()) return;
+  prev_.resize(need, kAbsent);
+  next_.resize(need, kAbsent);
+}
+
+void LruCache::unlink(std::uint32_t slot) {
+  next_[prev_[slot]] = next_[slot];
+  prev_[next_[slot]] = prev_[slot];
+}
+
+void LruCache::link_after(std::uint32_t slot, std::uint32_t at) {
+  prev_[slot] = at;
+  next_[slot] = next_[at];
+  prev_[next_[at]] = slot;
+  next_[at] = slot;
 }
 
 bool LruCache::touch(workload::FileId file) {
-  auto it = map_.find(file);
-  if (it == map_.end()) return false;
-  lru_.splice(lru_.begin(), lru_, it->second);
+  if (!contains(file)) return false;
+  unlink(slot_of(file));
+  link_after(slot_of(file), 0);
   return true;
 }
 
 std::vector<workload::FileId> LruCache::insert(workload::FileId file) {
   std::vector<workload::FileId> evicted;
   if (touch(file)) return evicted;
-  // availlint: hot-ok(LRU recency list needs stable node addresses; bounded by cache capacity)
-  lru_.push_front(file);
-  map_[file] = lru_.begin();  // availlint: hot-ok(index entry paired with the list node above)
-  while (map_.size() > capacity_files_) {
-    const workload::FileId victim = lru_.back();
-    lru_.pop_back();
-    map_.erase(victim);
-    evicted.push_back(victim);
+  grow_to(file);
+  link_after(slot_of(file), 0);
+  ++size_;
+  while (size_ > capacity_files_) {
+    const std::uint32_t lru = prev_[0];
+    unlink(lru);
+    prev_[lru] = kAbsent;
+    --size_;
+    evicted.push_back(file_of(lru));
   }
   return evicted;
 }
 
 void LruCache::clear() {
-  lru_.clear();
-  map_.clear();
+  for (std::uint32_t s = next_[0]; s != 0; s = next_[s]) prev_[s] = kAbsent;
+  prev_[0] = next_[0] = 0;
+  size_ = 0;
 }
 
 std::vector<workload::FileId> LruCache::resident() const {
-  return {lru_.begin(), lru_.end()};
+  std::vector<workload::FileId> out;
+  out.reserve(size_);
+  for (std::uint32_t s = next_[0]; s != 0; s = next_[s]) {
+    out.push_back(file_of(s));
+  }
+  return out;
 }
 
 void LruCache::save_state(snapshot::StateWriter& w) const {
   w.section("cache");
-  w.u64(lru_.size());
-  for (workload::FileId f : lru_) w.u64(f);  // MRU first
+  w.u64(size_);
+  for (std::uint32_t s = next_[0]; s != 0; s = next_[s]) {
+    w.u64(static_cast<std::uint64_t>(file_of(s)));  // MRU first
+  }
 }
 
 void LruCache::restore_state(snapshot::StateReader& r) {
   r.section("cache");
-  lru_.clear();
-  map_.clear();
+  clear();
   for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
     const auto file = static_cast<workload::FileId>(r.u64());
-    lru_.push_back(file);
-    map_[file] = std::prev(lru_.end());
+    grow_to(file);
+    link_after(slot_of(file), prev_[0]);  // append at the LRU end
+    ++size_;
   }
 }
 

@@ -1,7 +1,6 @@
 #pragma once
 
-#include <list>
-#include <unordered_map>
+#include <cstdint>
 #include <vector>
 
 #include "availsim/workload/fileset.hpp"
@@ -15,6 +14,11 @@ namespace availsim::press {
 
 /// In-memory LRU file cache of one PRESS node. All files are the same size
 /// (uniform-27KB workload), so capacity is expressed in whole files.
+///
+/// File ids are dense (0..FileSet::count-1), so the recency list is
+/// threaded through prev/next arrays indexed by FileId rather than kept as
+/// a node-per-file list plus a hash index: touch and insert are a few
+/// array writes. The arrays grow to the largest FileId seen.
 class LruCache {
  public:
   LruCache(std::size_t capacity_bytes, std::size_t file_bytes);
@@ -31,10 +35,10 @@ class LruCache {
 
   void clear();
 
-  std::size_t size() const { return map_.size(); }
+  std::size_t size() const { return size_; }
   std::size_t capacity() const { return capacity_files_; }
 
-  /// Snapshot of resident files (sent to a rejoining peer).
+  /// Snapshot of resident files, MRU first (sent to a rejoining peer).
   std::vector<workload::FileId> resident() const;
 
   /// --- snapshot support (recency list in MRU order; capacity is a
@@ -43,10 +47,20 @@ class LruCache {
   void restore_state(snapshot::StateReader& reader);
 
  private:
+  // prev_ value of a slot whose file is not resident.
+  static constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
+
+  /// Extends the arrays so `file` has a slot.
+  void grow_to(workload::FileId file);
+  void unlink(std::uint32_t slot);
+  void link_after(std::uint32_t slot, std::uint32_t at);
+
   std::size_t capacity_files_;  // availlint: snap-skip(construction parameter, re-supplied on restart)
-  std::list<workload::FileId> lru_;  // front = MRU
-  std::unordered_map<workload::FileId, std::list<workload::FileId>::iterator>
-      map_;  // availlint: snap-skip(iterator index, rebuilt from the recency list on restore)
+  // Circular recency list over slots: slot 0 is the sentinel (next_[0] is
+  // the MRU file, prev_[0] the LRU one) and file f lives in slot f + 1.
+  std::vector<std::uint32_t> prev_{0};  // availlint: snap-skip(linkage, rebuilt from the MRU-order list on restore)
+  std::vector<std::uint32_t> next_{0};  // availlint: snap-skip(linkage, rebuilt from the MRU-order list on restore)
+  std::size_t size_ = 0;  // availlint: snap-skip(resident count, rebuilt from the MRU-order list on restore)
 };
 
 }  // namespace availsim::press

@@ -1,24 +1,34 @@
 #include "availsim/press/directory.hpp"
 
 #include <algorithm>
+#include <cassert>
 
 #include "availsim/snapshot/state_io.hpp"
 
 namespace availsim::press {
 
+namespace {
+std::size_t idx(workload::FileId file) { return static_cast<std::size_t>(file); }
+}  // namespace
+
+const std::vector<net::NodeId>* Directory::replicas(
+    workload::FileId file) const {
+  if (idx(file) >= where_.size()) return nullptr;
+  const std::vector<net::NodeId>& nodes = where_[idx(file)];
+  return nodes.empty() ? nullptr : &nodes;
+}
+
 void Directory::node_caches(net::NodeId node, workload::FileId file) {
-  // availlint: hot-ok(node allocated only on a file's first replica; steady state is find+append)
-  auto& nodes = where_[file];
+  assert(file >= 0);
+  if (idx(file) >= where_.size()) where_.resize(idx(file) + 1);
+  auto& nodes = where_[idx(file)];
   if (std::find(nodes.begin(), nodes.end(), node) == nodes.end()) {
     nodes.push_back(node);
   }
 }
 
 void Directory::node_evicts(net::NodeId node, workload::FileId file) {
-  auto it = where_.find(file);
-  if (it == where_.end()) return;
-  std::erase(it->second, node);
-  if (it->second.empty()) where_.erase(it);
+  if (idx(file) < where_.size()) std::erase(where_[idx(file)], node);
 }
 
 void Directory::set_load(net::NodeId node, int load) { loads_[node] = load; }
@@ -30,11 +40,7 @@ int Directory::load(net::NodeId node) const {
 
 void Directory::remove_node(net::NodeId node) {
   loads_.erase(node);
-  // availlint: ordered-ok(per-entry erase of one node; entries independent)
-  for (auto it = where_.begin(); it != where_.end();) {
-    std::erase(it->second, node);
-    it = it->second.empty() ? where_.erase(it) : std::next(it);
-  }
+  for (std::vector<net::NodeId>& nodes : where_) std::erase(nodes, node);
 }
 
 void Directory::install_snapshot(net::NodeId node,
@@ -44,11 +50,11 @@ void Directory::install_snapshot(net::NodeId node,
 
 std::optional<net::NodeId> Directory::best_service_node(
     workload::FileId file, const sim::FlatSet<net::NodeId>& coop) const {
-  auto it = where_.find(file);
-  if (it == where_.end()) return std::nullopt;
+  const std::vector<net::NodeId>* nodes = replicas(file);
+  if (nodes == nullptr) return std::nullopt;
   std::optional<net::NodeId> best;
   int best_load = 0;
-  for (net::NodeId n : it->second) {
+  for (net::NodeId n : *nodes) {
     if (!coop.contains(n)) continue;
     const int l = load(n);
     if (!best || l < best_load) {
@@ -61,17 +67,22 @@ std::optional<net::NodeId> Directory::best_service_node(
 
 bool Directory::node_caches_file(net::NodeId node,
                                  workload::FileId file) const {
-  auto it = where_.find(file);
-  if (it == where_.end()) return false;
-  return std::find(it->second.begin(), it->second.end(), node) !=
-         it->second.end();
+  const std::vector<net::NodeId>* nodes = replicas(file);
+  return nodes != nullptr &&
+         std::find(nodes->begin(), nodes->end(), node) != nodes->end();
 }
 
 void Directory::save_state(snapshot::StateWriter& w) const {
   w.section("dir");
-  w.u64(where_.size());
-  for (workload::FileId file : snapshot::sorted_keys(where_)) {
-    const std::vector<net::NodeId>& nodes = where_.at(file);
+  // Only files with a known replica, in ascending FileId: the image a
+  // file -> nodes map with sorted keys would write.
+  const auto known = static_cast<std::uint64_t>(std::count_if(
+      where_.begin(), where_.end(),
+      [](const std::vector<net::NodeId>& nodes) { return !nodes.empty(); }));
+  w.u64(known);
+  for (std::size_t file = 0; file < where_.size(); ++file) {
+    const std::vector<net::NodeId>& nodes = where_[file];
+    if (nodes.empty()) continue;
     w.u64(file);
     w.u64(nodes.size());
     // Replica vectors keep insertion order: best_service_node ties break on
@@ -90,7 +101,8 @@ void Directory::restore_state(snapshot::StateReader& r) {
   where_.clear();
   for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
     const auto file = static_cast<workload::FileId>(r.u64());
-    std::vector<net::NodeId>& nodes = where_[file];
+    if (idx(file) >= where_.size()) where_.resize(idx(file) + 1);
+    std::vector<net::NodeId>& nodes = where_[idx(file)];
     const std::uint64_t count = r.u64();
     nodes.reserve(count);
     for (std::uint64_t j = 0; j < count; ++j) {
@@ -106,9 +118,8 @@ void Directory::restore_state(snapshot::StateReader& r) {
 
 std::size_t Directory::files_known_for(net::NodeId node) const {
   std::size_t n = 0;
-  // availlint: ordered-ok(commutative count)
-  for (const auto& [file, nodes] : where_) {
-    n += std::count(nodes.begin(), nodes.end(), node);
+  for (const std::vector<net::NodeId>& nodes : where_) {
+    n += static_cast<std::size_t>(std::count(nodes.begin(), nodes.end(), node));
   }
   return n;
 }

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "availsim/net/packet.hpp"
@@ -47,10 +46,14 @@ class Directory {
   void restore_state(snapshot::StateReader& reader);
 
  private:
-  // file -> caching nodes. Vectors stay tiny (few replicas per file).
-  // Stays a hash map: the file-id key space is large and churny, where a
-  // flat sorted vector would shift thousands of entries per new file.
-  std::unordered_map<workload::FileId, std::vector<net::NodeId>> where_;
+  /// The replicas known for `file`, or nullptr when there are none.
+  const std::vector<net::NodeId>* replicas(workload::FileId file) const;
+
+  // FileId -> caching nodes, indexed directly by the dense file id and
+  // grown to the largest id seen; an empty vector means "no known
+  // replica". Vectors stay tiny (few replicas per file) and keep
+  // insertion order, which breaks best_service_node's load ties.
+  std::vector<std::vector<net::NodeId>> where_;
   // node -> last piggybacked load; cluster-sized, scanned per forward.
   sim::FlatMap<net::NodeId, int> loads_;
 };

@@ -189,30 +189,13 @@ void PressNode::resume_after_thaw() {
 // Coordinating-thread scheduling
 // ---------------------------------------------------------------------------
 
-void PressNode::schedule_cpu(sim::Time cost, std::function<void()> fn) {
-  // A limping host (gray fault) stretches every CPU service time; the
-  // process still makes progress, still heartbeats, still answers pings.
-  cost = static_cast<sim::Time>(static_cast<double>(cost) *
-                                host_.slow_factor());
-  cpu_free_ = std::max(sim_.now(), cpu_free_) + cost;
-  sim_.schedule_at(cpu_free_, [this, e = epoch_, fn = std::move(fn)] {
-    if (epoch_ != e || !process_up_) return;
-    if (!main_ok()) {
-      paused_.push_back(std::move(fn));
-      return;
-    }
-    last_progress_ = sim_.now();
-    fn();
-  });
-}
-
 void PressNode::drain_paused() {
   // Incremental: resume parked work only while the main loop can run. A
   // re-block (e.g. the disk queue filling again) stops the drain with the
   // remainder still parked — rescheduling everything on every unblock is
   // quadratic under block/unblock churn.
   while (!paused_.empty() && main_ok()) {
-    std::function<void()> fn = std::move(paused_.front());  // availlint: hot-ok(move out of the parked deque; moving a std::function never allocates)
+    sim::EventFn fn = std::move(paused_.front());
     paused_.pop_front();
     last_progress_ = sim_.now();
     fn();
@@ -337,6 +320,7 @@ void PressNode::serve_from_disk(const workload::HttpRequest& request) {
   };
   if (d->submit(files_.file_bytes, completion)) return;
   // Disk queue full: the coordinating thread blocks trying to enqueue.
+  // availlint: hot-ok(runs only on a full disk queue, once per blocked episode)
   block_main("disk_queue", [this, d, request, completion] {
     return d->submit(files_.file_bytes, completion);
   });
@@ -444,6 +428,7 @@ void PressNode::forward_to(net::NodeId peer,
       // Base PRESS (no queue monitoring): the coordinating thread blocks on
       // the full send queue — the whole node stalls until it drains or the
       // peer is excluded.
+      // availlint: hot-ok(runs only on a full send queue, once per blocked episode)
       block_main("send_queue", [this, peer, request] {
         if (!coop_.contains(peer)) {
           // Peer excluded while we were blocked: serve it ourselves.
@@ -559,6 +544,7 @@ void PressNode::on_forward_request(const net::Packet& packet) {
       });
     };
     if (!d->submit(files_.file_bytes, completion)) {
+      // availlint: hot-ok(runs only on a full disk queue, once per blocked episode)
       block_main("disk_queue", [this, d, completion] {
         return d->submit(files_.file_bytes, completion);
       });
@@ -670,6 +656,7 @@ void PressNode::pump_queue(net::NodeId peer) {
     if (entry->is_request) {
       ++stats_.forwards_sent;
       const std::uint64_t fid = entry->request_id;
+      // availlint: hot-ok(net::SendOptions::on_refused is a std::function; this 32-byte capture allocates once per forward until SendOptions takes an EventFn)
       options.on_refused = [this, e = epoch_, peer, fid] {
         if (epoch_ != e || !process_up_) return;
         on_forward_refused(peer, fid);
@@ -1083,7 +1070,10 @@ void PressNode::save_state(snapshot::StateWriter& w) const {
   w.u64(backlog_.size());
   for (const net::Packet& p : backlog_) w.box(p);
   w.u64(paused_.size());
-  for (const std::function<void()>& fn : paused_) w.box(fn);
+  // Cloned into a shared_ptr box, as the simulator boxes its queue.
+  for (const sim::EventFn& fn : paused_) {
+    w.box(std::make_shared<const sim::EventFn>(fn.clone()));
+  }
   w.i64(cpu_free_);
   w.i64(last_progress_);
   w.i64(active_requests_);
@@ -1153,7 +1143,7 @@ void PressNode::restore_state(snapshot::StateReader& r) {
   }
   paused_.clear();
   for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    paused_.push_back(r.unbox<std::function<void()>>());
+    paused_.push_back(r.unbox<std::shared_ptr<const sim::EventFn>>()->clone());
   }
   cpu_free_ = r.i64();
   last_progress_ = r.i64();

@@ -1,10 +1,12 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "availsim/disk/disk.hpp"
@@ -14,8 +16,10 @@
 #include "availsim/press/messages.hpp"
 #include "availsim/press/params.hpp"
 #include "availsim/qmon/qmon.hpp"
+#include "availsim/sim/event_fn.hpp"
 #include "availsim/sim/flat.hpp"
 #include "availsim/sim/rng.hpp"
+#include "availsim/sim/simulator.hpp"
 #include "availsim/workload/http.hpp"
 
 namespace availsim::snapshot {
@@ -130,8 +134,11 @@ class PressNode {
   std::uint64_t coop_mask() const;
 
   /// Runs `fn` on the coordinating thread's CPU after `cost` service time;
-  /// parks it if the main loop cannot run when its turn comes.
-  void schedule_cpu(sim::Time cost, std::function<void()> fn);
+  /// parks it if the main loop cannot run when its turn comes. A template
+  /// so the event captures `fn` itself: a type-erased callable nested
+  /// inside the EventFn would not fit its inline buffer.
+  template <typename F>
+  void schedule_cpu(sim::Time cost, F&& fn);
   void drain_paused();
   void drain_backlog();
   void block_main(const char* reason, std::function<bool()> retry);
@@ -227,7 +234,7 @@ class PressNode {
   std::uint64_t next_forward_id_ = 1;
   sim::FlatMap<net::NodeId, sim::Time> last_heartbeat_;
   std::deque<net::Packet> backlog_;
-  std::deque<std::function<void()>> paused_;
+  std::deque<sim::EventFn> paused_;
   sim::Time cpu_free_ = 0;
   sim::Time last_progress_ = 0;
   int active_requests_ = 0;
@@ -235,5 +242,27 @@ class PressNode {
 
   Stats stats_;
 };
+
+template <typename F>
+void PressNode::schedule_cpu(sim::Time cost, F&& fn) {
+  // A limping host (gray fault) stretches every CPU service time; the
+  // process still makes progress, still heartbeats, still answers pings.
+  cost = static_cast<sim::Time>(static_cast<double>(cost) *
+                                host_.slow_factor());
+  cpu_free_ = std::max(sim_.now(), cpu_free_) + cost;
+  auto run = [this, e = epoch_, fn = std::forward<F>(fn)]() mutable {
+    if (epoch_ != e || !process_up_) return;
+    if (!main_ok()) {
+      paused_.emplace_back(std::move(fn));
+      return;
+    }
+    last_progress_ = sim_.now();
+    fn();
+  };
+  static_assert(sim::EventFn::stores_inline<decltype(run)>(),
+                "CPU-step closure outgrows EventFn's inline buffer; every "
+                "scheduled step would heap-allocate");
+  sim_.schedule_at(cpu_free_, std::move(run));
+}
 
 }  // namespace availsim::press

@@ -20,6 +20,17 @@ class EventFn {
  public:
   static constexpr std::size_t kInlineSize = 96;
 
+  /// True when a callable of type F is stored inline, i.e. wrapping it
+  /// never allocates. Callers that build closures on hot paths
+  /// static_assert this.
+  template <typename F>
+  static constexpr bool stores_inline() {
+    using D = std::decay_t<F>;
+    return sizeof(D) <= kInlineSize &&
+           alignof(D) <= alignof(std::max_align_t) &&
+           std::is_nothrow_move_constructible_v<D>;
+  }
+
   EventFn() noexcept = default;
 
   template <typename F, typename D = std::decay_t<F>,
@@ -27,9 +38,7 @@ class EventFn {
                                         std::is_invocable_r_v<void, D&>>>
   EventFn(F&& f) {  // NOLINT(google-explicit-constructor): drop-in for
                     // std::function at every schedule_* call site.
-    if constexpr (sizeof(D) <= kInlineSize &&
-                  alignof(D) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<D>) {
+    if constexpr (stores_inline<D>()) {
       ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
       ops_ = &kInlineOps<D>;
     } else {

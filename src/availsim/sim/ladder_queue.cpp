@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <iterator>
 #include <utility>
 
 namespace availsim::sim {
@@ -32,7 +31,7 @@ bool event_before(const QueuedEvent& a, const QueuedEvent& b) {
 
 }  // namespace
 
-void LadderQueue::push(QueuedEvent ev) {
+void LadderQueue::push(const QueuedEvent& ev) {
   ++size_;
   if (ev.t < bottom_limit_) {
     // The bottom covers this instant: insertion-sort at the exact (t, seq)
@@ -41,7 +40,7 @@ void LadderQueue::push(QueuedEvent ev) {
     auto it = std::upper_bound(
         bottom_.begin() + static_cast<std::ptrdiff_t>(bottom_pos_),
         bottom_.end(), ev, event_before);
-    bottom_.insert(it, std::move(ev));
+    bottom_.insert(it, ev);
     if (bottom_.size() - bottom_pos_ > kBottomOverflow &&
         rungs_.size() < kMaxRungs) {
       spill_bottom_tail();
@@ -58,7 +57,7 @@ void LadderQueue::push(QueuedEvent ev) {
     // materialisation sorts it back into exact order before it can fire.
     if (idx < r->cur) idx = r->cur;
     if (idx >= r->buckets.size()) idx = r->buckets.size() - 1;
-    r->buckets[idx].push_back(std::move(ev));
+    r->buckets[idx].push_back(ev);
     ++r->count;
     return;
   }
@@ -69,7 +68,7 @@ void LadderQueue::push(QueuedEvent ev) {
     top_min_ = std::min(top_min_, ev.t);
     top_max_ = std::max(top_max_, ev.t);
   }
-  top_.push_back(std::move(ev));
+  top_.push_back(ev);
 }
 
 QueuedEvent* LadderQueue::head() {
@@ -80,17 +79,8 @@ QueuedEvent* LadderQueue::head() {
 
 QueuedEvent LadderQueue::pop_head() {
   assert(bottom_pos_ < bottom_.size());
-  QueuedEvent ev = std::move(bottom_[bottom_pos_]);
-  ++bottom_pos_;
   --size_;
-  return ev;
-}
-
-void LadderQueue::drop_head() {
-  assert(bottom_pos_ < bottom_.size());
-  bottom_[bottom_pos_].fn = EventFn();  // free the tombstone's capture now
-  ++bottom_pos_;
-  --size_;
+  return bottom_[bottom_pos_++];
 }
 
 void LadderQueue::clear() {
@@ -117,9 +107,8 @@ void LadderQueue::spill_bottom_tail() {
   const Time cut = bottom_[keep].t;
   std::vector<QueuedEvent> tail = take_pool_bucket();
   tail.insert(tail.end(),
-              std::make_move_iterator(bottom_.begin() +
-                                      static_cast<std::ptrdiff_t>(keep)),
-              std::make_move_iterator(bottom_.end()));
+              bottom_.begin() + static_cast<std::ptrdiff_t>(keep),
+              bottom_.end());
   bottom_.resize(keep);
   // cut < bottom_limit_ because every bottom event has t < bottom_limit_,
   // so the new rung has a non-empty span and nests below the old deepest.
@@ -188,10 +177,10 @@ void LadderQueue::make_rung(std::vector<QueuedEvent>&& events, Time start,
       static_cast<std::size_t>((span + r.width - 1) / r.width);
   r.buckets.reserve(buckets);
   while (r.buckets.size() < buckets) r.buckets.push_back(take_pool_bucket());
-  for (QueuedEvent& ev : events) {
+  for (const QueuedEvent& ev : events) {
     const auto idx = static_cast<std::size_t>((ev.t - start) / r.width);
     assert(idx < r.buckets.size());
-    r.buckets[idx].push_back(std::move(ev));
+    r.buckets[idx].push_back(ev);
   }
   r.count = events.size();
   events.clear();

@@ -3,19 +3,20 @@
 #include <cstdint>
 #include <vector>
 
-#include "availsim/sim/event_fn.hpp"
 #include "availsim/sim/time.hpp"
 
 namespace availsim::sim {
 
 /// One scheduled event as stored by the queue. `seq` is the global
 /// schedule-order counter: the queue's total order is (t, seq), which
-/// encodes FIFO tie-break at equal timestamps.
+/// encodes FIFO tie-break at equal timestamps. The callable is not here:
+/// it sits in the Simulator's slot table at index `slot`, so the ladder
+/// sorts and buckets plain 24-byte entries and never moves a closure.
 struct QueuedEvent {
   Time t = 0;
   std::uint64_t seq = 0;   // global schedule order; FIFO tie-break at same t
-  std::uint32_t slot = 0;  // handle slot; generation lives in the Simulator
-  EventFn fn;
+  std::uint32_t slot = 0;  // slot-table index; generation and callable live
+                           // in the Simulator
 };
 
 /// Ladder-queue priority queue specialised for the simulator's workload:
@@ -65,7 +66,7 @@ class LadderQueue {
   LadderQueue(const LadderQueue&) = delete;
   LadderQueue& operator=(const LadderQueue&) = delete;
 
-  void push(QueuedEvent ev);
+  void push(const QueuedEvent& ev);
 
   bool empty() const { return size_ == 0; }
   /// Number of stored events, cancelled tombstones included (the caller
@@ -78,9 +79,6 @@ class LadderQueue {
 
   /// Removes and returns the head. Requires a prior non-null head().
   QueuedEvent pop_head();
-
-  /// Removes the head without running it (cancelled-tombstone purge).
-  void drop_head();
 
   /// Calls `fn(const QueuedEvent&)` on every stored event (tombstones
   /// included), in unspecified internal order — snapshot capture sorts by

@@ -18,6 +18,7 @@ std::uint32_t Simulator::acquire_slot() {
     return slot;
   }
   slots_.push_back(Slot{1, true, false});
+  fns_.emplace_back();
   return static_cast<std::uint32_t>(slots_.size() - 1);
 }
 
@@ -34,7 +35,8 @@ EventId Simulator::schedule_at(Time t, EventFn fn) {
   const std::uint32_t slot = acquire_slot();
   const EventId id =
       (static_cast<EventId>(slots_[slot].generation) << 32) | slot;
-  queue_.push(QueuedEvent{t, next_seq_++, slot, std::move(fn)});
+  fns_[slot] = std::move(fn);
+  queue_.push(QueuedEvent{t, next_seq_++, slot});
   return id;
 }
 
@@ -55,10 +57,12 @@ void Simulator::cancel(EventId id) {
 }
 
 void Simulator::purge_cancelled_head() {
-  while (QueuedEvent* head = queue_.head()) {
-    if (!slots_[head->slot].cancelled) break;
-    release_slot(head->slot);
-    queue_.drop_head();
+  while (const QueuedEvent* head = queue_.head()) {
+    const std::uint32_t slot = head->slot;
+    if (!slots_[slot].cancelled) break;
+    queue_.pop_head();
+    fns_[slot] = EventFn();  // free the tombstone's capture now
+    release_slot(slot);
     --cancelled_pending_;
   }
 }
@@ -66,9 +70,10 @@ void Simulator::purge_cancelled_head() {
 bool Simulator::step() {
   purge_cancelled_head();
   if (queue_.empty()) return false;
-  // The event is moved out before anything else runs so that events
-  // scheduled from inside `fn` are safe.
-  QueuedEvent ev = queue_.pop_head();
+  // The callable is moved out before its slot is released: `fn` may
+  // schedule new events, and the first of them reuses this very slot.
+  const QueuedEvent ev = queue_.pop_head();
+  EventFn fn = std::move(fns_[ev.slot]);
   release_slot(ev.slot);
   assert(ev.t >= now_);
   now_ = ev.t;
@@ -77,7 +82,7 @@ bool Simulator::step() {
     tracer_->emit(now_, trace::Category::kSim, trace::Kind::kSimStep, -1,
                   static_cast<std::int64_t>(ev.seq), 0, 0);
   }
-  ev.fn();
+  fn();
   return true;
 }
 
@@ -111,23 +116,17 @@ void Simulator::save_state(snapshot::StateWriter& w) const {
   for (std::uint32_t s : free_slots_) w.u32(s);
   // Pending events, tombstones included, in canonical (t, seq) order so
   // the image is byte-stable regardless of the ladder's internal layout.
-  struct Entry {
-    Time t;
-    std::uint64_t seq;
-    std::uint32_t slot;
-    const EventFn* fn;
-  };
-  std::vector<Entry> entries;
+  std::vector<QueuedEvent> entries;
   entries.reserve(queue_.size());
-  queue_.visit([&entries](const QueuedEvent& ev) {
-    entries.push_back(Entry{ev.t, ev.seq, ev.slot, &ev.fn});
-  });
-  std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
-    return a.t != b.t ? a.t < b.t : a.seq < b.seq;
-  });
+  queue_.visit([&entries](const QueuedEvent& ev) { entries.push_back(ev); });
+  std::sort(entries.begin(), entries.end(),
+            [](const QueuedEvent& a, const QueuedEvent& b) {
+              return a.t != b.t ? a.t < b.t : a.seq < b.seq;
+            });
   w.u64(entries.size());
-  for (const Entry& e : entries) {
-    assert(e.fn->clonable() &&
+  for (const QueuedEvent& e : entries) {
+    const EventFn& fn = fns_[e.slot];
+    assert(fn.clonable() &&
            "pending event captures move-only state; snapshot requires "
            "by-value (copyable) captures");
     w.i64(e.t);
@@ -135,7 +134,7 @@ void Simulator::save_state(snapshot::StateWriter& w) const {
     w.u32(e.slot);
     // shared_ptr wrapper: std::any requires copy-constructible contents,
     // and sharing the clone lets one snapshot be restored many times.
-    w.box(std::make_shared<const EventFn>(e.fn->clone()));
+    w.box(std::make_shared<const EventFn>(fn.clone()));
   }
 }
 
@@ -160,6 +159,8 @@ void Simulator::restore_state(snapshot::StateReader& r) {
   free_slots_.reserve(free_count);
   for (std::uint64_t i = 0; i < free_count; ++i) free_slots_.push_back(r.u32());
   queue_.clear();
+  fns_.clear();
+  fns_.resize(slot_count);
   const std::uint64_t event_count = r.u64();
   for (std::uint64_t i = 0; i < event_count; ++i) {
     QueuedEvent ev;
@@ -168,8 +169,8 @@ void Simulator::restore_state(snapshot::StateReader& r) {
     ev.slot = r.u32();
     // Clone out of the snapshot (never move): the same checkpoint may be
     // restored again for the next splitting branch.
-    ev.fn = r.unbox<std::shared_ptr<const EventFn>>()->clone();
-    queue_.push(std::move(ev));
+    fns_[ev.slot] = r.unbox<std::shared_ptr<const EventFn>>()->clone();
+    queue_.push(ev);
   }
   stopped_ = false;
 }

@@ -35,12 +35,17 @@ inline constexpr EventId kInvalidEvent = 0;
 /// the exact strict (t, seq) dequeue order of the binary heap it
 /// replaced (golden traces are byte-identical; see DESIGN.md §4e).
 ///
+/// Each pending event owns one slot of a slot table: its generation and
+/// tombstone flag in `slots_`, its callable in `fns_` at the same index.
+/// The queue itself holds only (t, seq, slot), so ordering work never
+/// touches a closure.
+///
 /// Cancellation is O(1) via slot+generation handles: cancel() flips a flag
 /// in the event's slot, the queue entry becomes a tombstone that is purged
-/// lazily when it reaches the head, and the slot is recycled afterwards.
-/// Cancelling an already-fired id is an exact no-op (the generation no
-/// longer matches), so stale handles neither accumulate state nor ever
-/// cancel an unrelated newer event.
+/// lazily when it reaches the head (destroying its callable then), and the
+/// slot is recycled afterwards. Cancelling an already-fired id is an exact
+/// no-op (the generation no longer matches), so stale handles neither
+/// accumulate state nor ever cancel an unrelated newer event.
 class Simulator {
  public:
   Simulator() = default;
@@ -128,6 +133,8 @@ class Simulator {
   bool stopped_ = false;  // availlint: snap-skip(cleared on restore; a restored run is live by definition)
   LadderQueue queue_;
   std::vector<Slot> slots_;
+  // Pending callables, indexed like slots_; empty for free slots.
+  std::vector<EventFn> fns_;
   std::vector<std::uint32_t> free_slots_;
 };
 

@@ -63,8 +63,10 @@ void Client::send_request() {
   trace::emit(sim_, trace::Category::kWorkload, trace::Kind::kReqSend,
               self_.id(), static_cast<std::int64_t>(id));
 
-  Pending& pending = pending_[id];
+  Pending& pending = pending_.emplace_back();
   pending.dst = dst;
+  pending.open = true;
+  ++outstanding_;
 
   // Connection-refused (process down, node down behind an up link) fails
   // fast, like a TCP RST.
@@ -80,12 +82,11 @@ void Client::send_request() {
   // SYN would be answered, the connection attempt is abandoned.
   pending.connect_check = sim_.schedule_after(params_.connect_timeout, [this,
                                                                         id] {
-    auto it = pending_.find(id);
-    if (it == pending_.end()) return;
-    it->second.connect_check = sim::kInvalidEvent;
-    const net::NodeId dst = it->second.dst;
-    const bool reachable = net_.path_up(self_.id(), dst) &&
-                           net_.host(dst).state() == net::Host::State::kUp;
+    Pending* p = find_open(id);
+    if (p == nullptr) return;
+    p->connect_check = sim::kInvalidEvent;
+    const bool reachable = net_.path_up(self_.id(), p->dst) &&
+                           net_.host(p->dst).state() == net::Host::State::kUp;
     if (!reachable) fail(id, FailureReason::kConnectTimeout);
   });
 
@@ -94,24 +95,35 @@ void Client::send_request() {
                           [this, id] { fail(id, FailureReason::kCompletionTimeout); });
 }
 
+Client::Pending* Client::find_open(std::uint64_t request_id) {
+  const std::uint64_t base = next_request_id_ - pending_.size();
+  if (request_id < base || request_id >= next_request_id_) return nullptr;
+  Pending& p = pending_[static_cast<std::size_t>(request_id - base)];
+  return p.open ? &p : nullptr;
+}
+
+void Client::close(Pending& pending) {
+  sim_.cancel(pending.connect_check);
+  sim_.cancel(pending.completion_timeout);
+  pending.open = false;
+  --outstanding_;
+  while (!pending_.empty() && !pending_.front().open) pending_.pop_front();
+}
+
 void Client::on_reply(const net::Packet& packet) {
   const auto& reply = net::body_as<HttpReply>(packet);
-  auto it = pending_.find(reply.request_id);
-  if (it == pending_.end()) return;  // late reply after timeout: ignored
-  sim_.cancel(it->second.connect_check);
-  sim_.cancel(it->second.completion_timeout);
-  pending_.erase(it);
+  Pending* p = find_open(reply.request_id);
+  if (p == nullptr) return;  // late reply after timeout: ignored
+  close(*p);
   trace::emit(sim_, trace::Category::kWorkload, trace::Kind::kReqOk,
               self_.id(), static_cast<std::int64_t>(reply.request_id));
   recorder_.record_success();
 }
 
 void Client::fail(std::uint64_t request_id, FailureReason reason) {
-  auto it = pending_.find(request_id);
-  if (it == pending_.end()) return;
-  sim_.cancel(it->second.connect_check);
-  sim_.cancel(it->second.completion_timeout);
-  pending_.erase(it);
+  Pending* p = find_open(request_id);
+  if (p == nullptr) return;
+  close(*p);
   trace::emit(sim_, trace::Category::kWorkload, trace::Kind::kReqFail,
               self_.id(), static_cast<std::int64_t>(request_id),
               static_cast<std::int64_t>(reason));
@@ -126,13 +138,17 @@ void Client::save_state(snapshot::StateWriter& w) const {
   w.u64(rr_);
   w.boolean(running_);
   w.u64(next_request_id_);
-  w.u64(pending_.size());
-  for (std::uint64_t id : snapshot::sorted_keys(pending_)) {
-    const Pending& p = pending_.at(id);
-    w.u64(id);
-    w.u64(p.connect_check);
-    w.u64(p.completion_timeout);
-    w.i64(p.dst);
+  // Open requests only, ascending id.
+  w.u64(outstanding_);
+  std::uint64_t id = next_request_id_ - pending_.size();
+  for (const Pending& p : pending_) {
+    if (p.open) {
+      w.u64(id);
+      w.u64(p.connect_check);
+      w.u64(p.completion_timeout);
+      w.i64(p.dst);
+    }
+    ++id;
   }
   for (std::uint64_t word : rng_.state()) w.u64(word);
   w.u64(rng_.stream_seed());
@@ -148,14 +164,23 @@ void Client::restore_state(snapshot::StateReader& r) {
   rr_ = r.u64();
   running_ = r.boolean();
   next_request_id_ = r.u64();
+  outstanding_ = r.u64();
   pending_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
+  // Rebuild the ring from the first open id: closed ids between open ones
+  // come back as closed entries, and the ring is padded up to
+  // next_request_id_ so the next request's id lands at its back.
+  std::uint64_t base = next_request_id_;
+  for (std::uint64_t i = 0; i < outstanding_; ++i) {
     const std::uint64_t id = r.u64();
-    Pending& p = pending_[id];
+    if (i == 0) base = id;
+    pending_.resize(static_cast<std::size_t>(id - base));
+    Pending& p = pending_.emplace_back();
     p.connect_check = r.u64();
     p.completion_timeout = r.u64();
     p.dst = static_cast<net::NodeId>(r.i64());
+    p.open = true;
   }
+  pending_.resize(static_cast<std::size_t>(next_request_id_ - base));
   std::array<std::uint64_t, 4> s{};
   for (std::uint64_t& word : s) word = r.u64();
   rng_.restore_state(s, r.u64());

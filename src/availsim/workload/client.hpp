@@ -1,7 +1,7 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
+#include <deque>
 #include <vector>
 
 #include "availsim/net/network.hpp"
@@ -45,7 +45,7 @@ class Client {
   void start();
   void stop();
 
-  std::size_t outstanding() const { return pending_.size(); }
+  std::size_t outstanding() const { return outstanding_; }
   std::uint64_t requests_sent() const { return next_request_id_; }
 
   /// --- snapshot support (pending-request EventIds stay valid because the
@@ -58,12 +58,18 @@ class Client {
     sim::EventId connect_check = sim::kInvalidEvent;
     sim::EventId completion_timeout = sim::kInvalidEvent;
     net::NodeId dst = net::kNoNode;
+    bool open = false;  // false once replied to or failed
   };
 
   void schedule_next_arrival();
   void send_request();
   void on_reply(const net::Packet& packet);
   void fail(std::uint64_t request_id, FailureReason reason);
+  /// The open request `request_id`, or nullptr if it already completed.
+  Pending* find_open(std::uint64_t request_id);
+  /// Closes an open request: cancels its timers and trims closed entries
+  /// off the front of the ring.
+  void close(Pending& pending);
 
   sim::Simulator& sim_;
   net::Network& net_;
@@ -77,7 +83,12 @@ class Client {
   std::size_t rr_ = 0;
   bool running_ = false;
   std::uint64_t next_request_id_ = 0;
-  std::unordered_map<std::uint64_t, Pending> pending_;
+  // Requests [next_request_id_ - pending_.size(), next_request_id_), in id
+  // order: ids are handed out monotonically, so an id indexes the ring
+  // directly. The front entry is always open (closed ones are trimmed);
+  // closed entries behind it wait for the ids before them to close.
+  std::deque<Pending> pending_;
+  std::size_t outstanding_ = 0;  // open entries in pending_
 };
 
 }  // namespace availsim::workload

@@ -538,6 +538,40 @@ TEST(AvailLintHot, OutsideHotDomainIsSilent) {
   EXPECT_EQ(count_rule(diags, "hot-alloc"), 0) << dump(diags);
 }
 
+TEST(AvailLintHot, LambdaToStdFunctionConversionsFlagged) {
+  const auto diags = lint_one(kPumpCpp, "hot_alloc_callable.cpp.fixture");
+  // pump_queue: a lambda assigned to a std::function field through a
+  // member access and directly, and lambdas passed to a std::function
+  // parameter and to a parameter of an alias type. route's template /
+  // EventFn parameters, named closure and plain fields stay silent, and
+  // cold_setup is unreachable.
+  EXPECT_EQ(count_rule(diags, "hot-alloc"), 4) << dump(diags);
+  for (const char* what :
+       {"field 'on_refused'", "field 'hook_'", "parameter 2 of 'block_main'",
+        "parameter 2 of 'submit'"}) {
+    int hits = 0;
+    for (const Diagnostic& d : diags) {
+      if (d.message.find(what) != std::string::npos &&
+          d.message.find("'PressNode::pump_queue'") != std::string::npos) {
+        ++hits;
+      }
+    }
+    EXPECT_EQ(hits, 1) << what << "\n" << dump(diags);
+  }
+}
+
+TEST(AvailLintHot, LambdaConversionHotOkSuppresses) {
+  Engine engine(repo_config());
+  engine.add_file(
+      kPumpCpp,
+      mutate(fixture("hot_alloc_callable.cpp.fixture"),
+             "  block_main(\"send_queue\", [this] { return counter_ > 0; });",
+             "  // availlint: hot-ok(block transition only)\n"
+             "  block_main(\"send_queue\", [this] { return counter_ > 0; });"));
+  const auto diags = engine.run();
+  EXPECT_EQ(count_rule(diags, "hot-alloc"), 3) << dump(diags);
+}
+
 TEST(AvailLintHot, PassTimingsCoverEveryPass) {
   Engine engine(repo_config());
   engine.add_file(kPumpCpp, fixture("hot_alloc_bad.cpp.fixture"));

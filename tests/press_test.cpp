@@ -1,9 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <unordered_map>
+#include <utility>
+#include <vector>
+
 #include "availsim/press/cache.hpp"
 #include "availsim/press/directory.hpp"
 #include "availsim/qmon/qmon.hpp"
 #include "availsim/sim/flat.hpp"
+#include "availsim/sim/rng.hpp"
+#include "availsim/snapshot/state_io.hpp"
 
 namespace availsim::press {
 namespace {
@@ -79,6 +87,112 @@ TEST(LruCache, MinimumCapacityOneFile) {
   EXPECT_EQ(ev[0], 1);
 }
 
+// Reference model: the std::list + hash-index LRU that the dense
+// prev/next arrays replaced. The dense cache must match it operation for
+// operation.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(std::size_t capacity) : capacity_(capacity) {}
+
+  bool contains(workload::FileId f) const { return map_.contains(f); }
+
+  bool touch(workload::FileId f) {
+    auto it = map_.find(f);
+    if (it == map_.end()) return false;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return true;
+  }
+
+  std::vector<workload::FileId> insert(workload::FileId f) {
+    std::vector<workload::FileId> evicted;
+    if (touch(f)) return evicted;
+    lru_.push_front(f);
+    map_[f] = lru_.begin();
+    while (map_.size() > capacity_) {
+      evicted.push_back(lru_.back());
+      map_.erase(lru_.back());
+      lru_.pop_back();
+    }
+    return evicted;
+  }
+
+  void clear() {
+    lru_.clear();
+    map_.clear();
+  }
+
+  std::size_t size() const { return map_.size(); }
+  std::vector<workload::FileId> resident() const {
+    return {lru_.begin(), lru_.end()};
+  }
+
+ private:
+  std::size_t capacity_;
+  std::list<workload::FileId> lru_;  // front = MRU
+  std::unordered_map<workload::FileId, std::list<workload::FileId>::iterator>
+      map_;
+};
+
+snapshot::Snapshot save_cache(const LruCache& cache) {
+  snapshot::StateWriter w;
+  cache.save_state(w);
+  return std::move(w).finish();
+}
+
+class LruOracleTest : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(LruOracleTest, MatchesListAndHashReference) {
+  constexpr std::size_t kFileBytes = 100;
+  constexpr std::int64_t kFiles = 26000;  // the workload's catalogue
+  constexpr int kOps = 100000;
+  const std::size_t cap = GetParam();
+  LruCache cache(cap * kFileBytes, kFileBytes);
+  ASSERT_EQ(cache.capacity(), cap);
+  ReferenceLru ref(cap);
+  sim::Rng rng(cap);
+  // Half the draws come from a hot range twice the capacity, so hits,
+  // refreshes and evictions all happen; the rest span the whole
+  // catalogue, growing the dense arrays to the largest FileId.
+  const auto hot = std::min<std::int64_t>(2 * static_cast<std::int64_t>(cap) + 1,
+                                          kFiles);
+  for (int op = 0; op < kOps; ++op) {
+    const auto f = static_cast<workload::FileId>(
+        rng.bernoulli(0.5) ? rng.uniform_int(0, hot - 1)
+                           : rng.uniform_int(0, kFiles - 1));
+    const double u = rng.uniform();
+    if (u < 0.001) {
+      cache.clear();
+      ref.clear();
+    } else if (u < 0.45) {
+      ASSERT_EQ(cache.touch(f), ref.touch(f)) << "op " << op;
+    } else {
+      ASSERT_EQ(cache.insert(f), ref.insert(f)) << "op " << op;
+    }
+    ASSERT_EQ(cache.size(), ref.size()) << "op " << op;
+    ASSERT_EQ(cache.contains(f), ref.contains(f)) << "op " << op;
+    if (op % 5000 == 0) {
+      ASSERT_EQ(cache.resident(), ref.resident()) << "op " << op;
+      // Round trip through a snapshot into a fresh cache, which carries
+      // on in place of the original: same MRU order, same image.
+      const snapshot::Snapshot snap = save_cache(cache);
+      LruCache restored(cap * kFileBytes, kFileBytes);
+      snapshot::StateReader r(snap);
+      restored.restore_state(r);
+      ASSERT_TRUE(r.exhausted());
+      ASSERT_EQ(restored.resident(), ref.resident()) << "op " << op;
+      ASSERT_EQ(save_cache(restored).image, snap.image) << "op " << op;
+      cache = std::move(restored);
+    }
+  }
+  EXPECT_EQ(cache.resident(), ref.resident());
+}
+
+// 1 file, a 32-node cluster's share of the catalogue, and the default
+// 128 MB cache of 27 KB files.
+INSTANTIATE_TEST_SUITE_P(Capacities, LruOracleTest,
+                         ::testing::Values(std::size_t{1}, std::size_t{812},
+                                           std::size_t{4854}));
+
 // ---------------------------------------------------------------------------
 // Directory
 // ---------------------------------------------------------------------------
@@ -143,6 +257,60 @@ TEST(Directory, DuplicateCacheAnnouncementIsIdempotent) {
   d.node_caches(1, 7);
   d.node_caches(1, 7);
   EXPECT_EQ(d.files_known_for(1), 1u);
+}
+
+TEST(Directory, LoadTiesBreakOnInsertionOrder) {
+  Directory d;
+  d.node_caches(3, 5);
+  d.node_caches(1, 5);
+  d.node_caches(2, 5);
+  sim::FlatSet<net::NodeId> coop;
+  for (net::NodeId n : {1, 2, 3}) coop.insert(n);
+  EXPECT_EQ(d.best_service_node(5, coop), 3);
+  d.node_evicts(3, 5);
+  d.node_caches(3, 5);  // re-announced: now last in line
+  EXPECT_EQ(d.best_service_node(5, coop), 1);
+}
+
+TEST(Directory, SnapshotSkipsEmptiedFilesAndRoundTrips) {
+  Directory d;
+  d.node_caches(2, 9000);
+  d.node_caches(1, 9000);
+  d.node_caches(1, 12);
+  d.node_caches(4, 300);
+  d.node_evicts(4, 300);  // emptied: no longer a known file
+  d.set_load(2, 5);
+  snapshot::StateWriter w;
+  d.save_state(w);
+  const snapshot::Snapshot snap = std::move(w).finish();
+
+  // The image an ascending file -> nodes map would write: known files
+  // only, ascending id, replicas in insertion order.
+  snapshot::StateWriter want;
+  want.section("dir");
+  want.u64(2);
+  want.u64(12);
+  want.u64(1);
+  want.i64(1);
+  want.u64(9000);
+  want.u64(2);
+  want.i64(2);
+  want.i64(1);
+  want.u64(1);
+  want.i64(2);
+  want.i64(5);
+  EXPECT_EQ(snap.image, std::move(want).finish().image);
+
+  Directory restored;
+  snapshot::StateReader r(snap);
+  restored.restore_state(r);
+  EXPECT_TRUE(r.exhausted());
+  EXPECT_TRUE(restored.node_caches_file(1, 12));
+  EXPECT_FALSE(restored.node_caches_file(4, 300));
+  EXPECT_EQ(restored.load(2), 5);
+  snapshot::StateWriter again;
+  restored.save_state(again);
+  EXPECT_EQ(std::move(again).finish().image, snap.image);
 }
 
 }  // namespace

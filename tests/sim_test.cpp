@@ -1,15 +1,23 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
+#include "availsim/sim/ladder_queue.hpp"
 #include "availsim/sim/rng.hpp"
 #include "availsim/sim/simulator.hpp"
 #include "availsim/sim/time.hpp"
 
 namespace availsim::sim {
 namespace {
+
+// Queue entries are plain (t, seq, slot) triples; callables live in the
+// simulator's slot table, so the ladder never moves a closure.
+static_assert(std::is_trivially_copyable_v<QueuedEvent>);
+static_assert(sizeof(QueuedEvent) <= 24);
 
 TEST(Time, Conversions) {
   EXPECT_EQ(from_seconds(1.0), kSecond);
@@ -197,6 +205,58 @@ TEST(Simulator, LargeCapturesFallBackToHeapCorrectly) {
   });
   sim.run();
   EXPECT_EQ(sum, 64u * 63u / 2u);
+}
+
+TEST(Simulator, CaptureReleasedWhenEventFires) {
+  Simulator sim;
+  auto probe = std::make_shared<int>(7);
+  const std::weak_ptr<int> watch = probe;
+  int seen = 0;
+  sim.schedule_after(kSecond, [p = std::move(probe), &seen] { seen = *p; });
+  EXPECT_FALSE(watch.expired());  // the slot table holds it while pending
+  sim.run();
+  EXPECT_EQ(seen, 7);
+  EXPECT_TRUE(watch.expired());
+}
+
+TEST(Simulator, CancelledCaptureReleasedWhenTombstonePurged) {
+  Simulator sim;
+  auto probe = std::make_shared<int>(7);
+  const std::weak_ptr<int> watch = probe;
+  const EventId id = sim.schedule_after(
+      kSecond, [p = std::move(probe)] { ADD_FAILURE() << "cancelled ran"; });
+  sim.schedule_after(2 * kSecond, [] {});
+  sim.cancel(id);
+  // Cancellation only marks the slot; the capture goes with the purge.
+  EXPECT_FALSE(watch.expired());
+  sim.run_until(kSecond / 2);  // purges the tombstone at the head
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(sim.now(), kSecond / 2);
+  EXPECT_EQ(sim.pending(), 1u);
+}
+
+TEST(Simulator, EventReusingItsOwnSlotKeepsItsCaptures) {
+  // A firing event's slot is released before it runs, so the first event
+  // it schedules lands in that very slot. Its own captures must survive
+  // the slot being overwritten.
+  Simulator sim;
+  auto payload = std::make_shared<std::vector<int>>(std::vector<int>{1, 2, 3});
+  const std::weak_ptr<std::vector<int>> watch = payload;
+  std::vector<int> log;
+  EventId first = kInvalidEvent;
+  first = sim.schedule_after(kSecond, [&sim, &log, &first, &watch,
+                                       p = std::move(payload)] {
+    const EventId next =
+        sim.schedule_after(kSecond, [&log] { log.push_back(99); });
+    EXPECT_EQ(static_cast<std::uint32_t>(next),
+              static_cast<std::uint32_t>(first));  // same slot
+    EXPECT_NE(next, first);                        // newer generation
+    EXPECT_FALSE(watch.expired());  // still owned by the running event
+    for (int v : *p) log.push_back(v);
+  });
+  sim.run();
+  EXPECT_EQ(log, (std::vector<int>{1, 2, 3, 99}));
+  EXPECT_TRUE(watch.expired());
 }
 
 TEST(Simulator, CancelInterleavedWithSameTimeEventsKeepsFifoOrder) {

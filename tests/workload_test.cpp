@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <memory>
+#include <vector>
 
 #include "availsim/net/network.hpp"
+#include "availsim/snapshot/state_io.hpp"
 #include "availsim/workload/client.hpp"
 #include "availsim/workload/recorder.hpp"
 #include "availsim/workload/zipf.hpp"
@@ -149,6 +152,26 @@ class ClientFixture : public ::testing::Test {
     });
   }
 
+  /// A server that keeps every request and replies only when told to.
+  void hold_all() {
+    server_.bind(net::ports::kPressHttp, [this](const net::Packet& p) {
+      held_.push_back(net::body_as<HttpRequest>(p).request_id);
+    });
+  }
+
+  void reply(std::uint64_t request_id) {
+    net_.send(0, 1, net::ports::kClientReply, 27 * 1024,
+              net::make_body<HttpReply>(HttpReply{request_id}));
+  }
+
+  /// Sends requests for `seconds`, then waits until all have arrived.
+  void send_for(double seconds) {
+    client_->start();
+    sim_.run_until(sim_.now() + sim::from_seconds(seconds));
+    client_->stop();
+    sim_.run_until(sim_.now() + 100 * sim::kMillisecond);
+  }
+
   sim::Simulator sim_;
   net::Network net_;
   net::Host server_;
@@ -156,6 +179,7 @@ class ClientFixture : public ::testing::Test {
   ZipfSampler zipf_;
   Recorder recorder_;
   std::unique_ptr<Client> client_;
+  std::vector<std::uint64_t> held_;
 };
 
 TEST_F(ClientFixture, PoissonRateIsApproximatelyHonored) {
@@ -216,6 +240,115 @@ TEST_F(ClientFixture, RoundRobinSpreadsOverDestinations) {
   sim_.run_until(20 * sim::kSecond);
   client_->stop();
   EXPECT_NEAR(to_first, to_second, 1);
+}
+
+TEST_F(ClientFixture, OutOfOrderRepliesCloseTheirOwnRequests) {
+  hold_all();
+  send_for(2.0);
+  const std::size_t n = held_.size();
+  ASSERT_GT(n, 20u);
+  EXPECT_EQ(client_->requests_sent(), n);
+  EXPECT_EQ(client_->outstanding(), n);
+  // Close every odd id first: closed ids now sit between open ones.
+  std::size_t open = n;
+  for (std::uint64_t id : held_) {
+    if (id % 2 == 1) {
+      reply(id);
+      --open;
+    }
+  }
+  sim_.run_until(sim_.now() + 100 * sim::kMillisecond);
+  EXPECT_EQ(client_->outstanding(), open);
+  EXPECT_EQ(recorder_.total_success(), n - open);
+  // Then the rest, newest first.
+  for (auto it = held_.rbegin(); it != held_.rend(); ++it) {
+    if (*it % 2 == 0) reply(*it);
+  }
+  sim_.run_until(sim_.now() + 100 * sim::kMillisecond);
+  EXPECT_EQ(client_->outstanding(), 0u);
+  EXPECT_EQ(recorder_.total_success(), n);
+  EXPECT_EQ(recorder_.total_failed(), 0u);
+}
+
+TEST_F(ClientFixture, LateReplyAfterCompletionTimeoutIsIgnored) {
+  hold_all();
+  send_for(1.0);
+  const std::size_t n = held_.size();
+  ASSERT_GT(n, 10u);
+  sim_.run_until(8 * sim::kSecond);  // past every 6 s completion timeout
+  EXPECT_EQ(recorder_.failures_by_reason(FailureReason::kCompletionTimeout),
+            n);
+  EXPECT_EQ(client_->outstanding(), 0u);
+  // New requests are open while the old ones' replies finally arrive.
+  const std::vector<std::uint64_t> late = held_;
+  send_for(1.0);
+  const std::size_t fresh = held_.size() - n;
+  ASSERT_GT(fresh, 10u);
+  for (std::uint64_t id : late) reply(id);
+  sim_.run_until(sim_.now() + 100 * sim::kMillisecond);
+  EXPECT_EQ(recorder_.total_success(), 0u);
+  EXPECT_EQ(recorder_.total_failed(), n);
+  EXPECT_EQ(client_->outstanding(), fresh);
+}
+
+TEST_F(ClientFixture, SnapshotRestoresRingWithClosedIdsBetweenOpenOnes) {
+  hold_all();
+  send_for(2.0);
+  const std::size_t n = held_.size();
+  ASSERT_GT(n, 20u);
+  // Close ids between open ones and the newest few, so the ring both has
+  // holes and ends in closed entries when the snapshot is taken.
+  for (std::uint64_t id : held_) {
+    if (id % 3 == 1 || id + 3 >= n) reply(id);
+  }
+  sim_.run_until(sim_.now() + 100 * sim::kMillisecond);
+  const std::size_t open = client_->outstanding();
+  ASSERT_GT(open, 0u);
+  ASSERT_LT(open, n);
+
+  auto save = [&] {
+    snapshot::StateWriter w;
+    sim_.save_state(w);
+    net_.save_state(w);
+    server_.save_state(w);
+    client_host_.save_state(w);
+    recorder_.save_state(w);
+    client_->save_state(w);
+    return std::move(w).finish();
+  };
+  const snapshot::Snapshot snap = save();
+  const std::vector<std::uint64_t> held_at_snapshot = held_;
+
+  // Reply to everything held (replies to closed ids are ignored), then
+  // serve fresh requests, whose ids continue past the closed tail.
+  auto branch = [&] {
+    for (std::uint64_t id : held_) reply(id);
+    serve_all();
+    send_for(3.0);
+    sim_.run_until(sim_.now() + 10 * sim::kSecond);
+    return std::array<std::uint64_t, 4>{
+        recorder_.total_offered(), recorder_.total_success(),
+        recorder_.total_failed(), client_->outstanding()};
+  };
+  const auto first = branch();
+  EXPECT_EQ(first[1], first[0]);  // every request succeeded
+  EXPECT_EQ(first[2], 0u);
+  EXPECT_EQ(first[3], 0u);
+
+  snapshot::StateReader r(snap);
+  sim_.restore_state(r);
+  net_.restore_state(r);
+  server_.restore_state(r);
+  client_host_.restore_state(r);
+  recorder_.restore_state(r);
+  client_->restore_state(r);
+  ASSERT_TRUE(r.exhausted());
+  held_ = held_at_snapshot;
+  EXPECT_EQ(client_->outstanding(), open);
+  EXPECT_EQ(client_->requests_sent(), n);
+  EXPECT_EQ(save().image, snap.image);
+
+  EXPECT_EQ(branch(), first);
 }
 
 TEST_F(ClientFixture, RecoveryAfterRepairResumesSuccesses) {

@@ -810,6 +810,35 @@ void Engine::check_hot_alloc() {
     }
   }
 
+  // Parameters and fields typed std::function (or an alias of it): an
+  // inline lambda passed or assigned to one is converted implicitly, with
+  // no std::function token at the call site, and heap-allocates once its
+  // capture outgrows the small buffer. Name-based, like reachability.
+  std::set<std::string> aliases;
+  for (const FileEntry& f : files_) {
+    if (!under_any(f.path, domains)) continue;
+    aliases.insert(f.structure.function_aliases.begin(),
+                   f.structure.function_aliases.end());
+  }
+  auto callable = [&](const std::string& type) {
+    return type == "std::function" || aliases.count(type) > 0;
+  };
+  std::map<std::string, std::set<std::size_t>> callable_params;
+  std::set<std::string> callable_fields;
+  for (const FileEntry& f : files_) {
+    if (!under_any(f.path, domains)) continue;
+    for (const FunctionSig& sig : f.structure.signatures) {
+      for (std::size_t k = 0; k < sig.param_types.size(); ++k) {
+        if (callable(sig.param_types[k])) callable_params[sig.name].insert(k);
+      }
+    }
+    for (const ClassInfo& cls : f.structure.classes) {
+      for (const FieldInfo& fld : cls.fields) {
+        if (callable(fld.type)) callable_fields.insert(fld.name);
+      }
+    }
+  }
+
   static const std::set<std::string> inserters = {
       "insert",       "emplace",       "emplace_hint", "try_emplace",
       "push_back",    "push_front",    "emplace_back", "emplace_front"};
@@ -836,6 +865,33 @@ void Engine::check_hot_alloc() {
                "line with \"availlint: hot-ok(<reason>)\"");
     };
 
+    // Flags every inline lambda among the arguments of the call whose '('
+    // is at `open`, at a position in `params`.
+    auto check_call = [&](std::size_t open, const std::string& callee,
+                          const std::set<std::size_t>& params) {
+      std::size_t arg = 0;
+      int depth = 0;
+      for (std::size_t k = open + 1; k < end; ++k) {
+        const std::string& s = toks[k].text;
+        if (depth == 0 && s == "[" &&
+            (toks[k - 1].text == "(" || toks[k - 1].text == ",") &&
+            params.count(arg)) {
+          report(toks[k].line,
+                 "lambda converted to std::function (parameter " +
+                     std::to_string(arg + 1) + " of '" + callee +
+                     "'; heap-allocates once the capture outgrows its "
+                     "small buffer)");
+        }
+        if (s == "(" || s == "[" || s == "{") {
+          ++depth;
+        } else if (s == ")" || s == "]" || s == "}") {
+          if (depth-- == 0) return;
+        } else if (s == "," && depth == 0) {
+          ++arg;
+        }
+      }
+    };
+
     for (std::size_t j = fn.def->body_begin; j < end; ++j) {
       const Token& t = toks[j];
       if (!t.is_identifier) continue;
@@ -843,6 +899,21 @@ void Engine::check_hot_alloc() {
           j > fn.def->body_begin ? toks[j - 1].text : std::string();
       const std::string& next =
           j + 1 < toks.size() ? toks[j + 1].text : std::string();
+      // Implicit lambda -> std::function conversions; member access is
+      // the common spelling (`options.on_refused = [...]`,
+      // `disk->submit(n, [...])`), so these run before the skip below.
+      if (next == "=" && j + 2 < end && toks[j + 2].text == "[" &&
+          callable_fields.count(t.text)) {
+        report(toks[j + 2].line,
+               "lambda assigned to std::function field '" + t.text +
+                   "' (heap-allocates once the capture outgrows its small "
+                   "buffer)");
+      } else if (next == "(") {
+        auto cit = callable_params.find(t.text);
+        if (cit != callable_params.end()) {
+          check_call(j + 1, t.text, cit->second);
+        }
+      }
       if (prev == "." || prev == "->" || prev == "operator") continue;
 
       if (t.text == "new") {

@@ -29,9 +29,12 @@
 //   snap-order          save_state and restore_state visit the shared
 //                       fields in different orders
 //   hot-alloc           heap allocation (new/make_unique/make_shared),
-//                       std::function construction, or node-based
-//                       container insertion inside a function reachable
-//                       from the hot-path roster, unless the line carries
+//                       std::function construction (explicit, or an
+//                       inline lambda passed to a std::function
+//                       parameter or assigned to a std::function field),
+//                       or node-based container insertion inside a
+//                       function reachable from the hot-path roster,
+//                       unless the line carries
 //                       "availlint: hot-ok(<reason>)"
 //   layer-dep           #include edge not in the declared layer table
 //   layer-cycle         cycle in the declared header-layer graph or in

@@ -30,6 +30,15 @@ const std::set<std::string>& map_like_types() {
   return s;
 }
 
+// Specifiers skipped when picking a declaration's nominal type.
+const std::set<std::string>& type_keywords() {
+  static const std::set<std::string> s = {
+      "const",    "volatile", "typename", "struct",    "class",
+      "enum",     "unsigned", "signed",   "mutable",   "constexpr",
+      "static",   "inline",   "register"};
+  return s;
+}
+
 struct Parser {
   const std::vector<Token>& toks;
   FileStructure out;
@@ -85,6 +94,64 @@ struct Parser {
       }
     }
     return toks.size();
+  }
+
+  bool is_std_function(std::size_t k) const {
+    return text(k) == "function" && k >= 2 && text(k - 1) == "::" &&
+           text(k - 2) == "std";
+  }
+
+  // Nominal type of the declaration in tokens [begin, end): see
+  // FunctionSig::param_types.
+  std::string nominal_type(std::size_t begin, std::size_t end) const {
+    std::vector<std::size_t> idents;
+    int depth = 0;
+    for (std::size_t k = begin; k < end; ++k) {
+      const std::string& s = text(k);
+      if (depth == 0 && s == "=") break;  // default argument
+      if (s == "<" || s == "(" || s == "[" || s == "{") {
+        ++depth;
+      } else if (s == ">" || s == ")" || s == "]" || s == "}") {
+        --depth;
+      } else if (s == ">>") {
+        depth -= 2;
+      } else if (depth == 0 && is_ident(k) && !type_keywords().count(s)) {
+        if (is_std_function(k)) return "std::function";
+        idents.push_back(k);
+      }
+    }
+    // A trailing unqualified identifier after the type is the declared name.
+    if (idents.size() >= 2 && text(idents.back() - 1) != "::") {
+      idents.pop_back();
+    }
+    return idents.empty() ? std::string() : text(idents.back());
+  }
+
+  // Nominal type of every parameter in the list opening at `open`.
+  std::vector<std::string> param_types(std::size_t open) const {
+    std::vector<std::string> out;
+    std::size_t seg = open + 1;
+    int depth = 0;
+    for (std::size_t k = open + 1; k < toks.size(); ++k) {
+      const std::string& s = text(k);
+      const bool closes = depth == 0 && s == ")";
+      if (closes || (depth == 0 && s == ",")) {
+        if (k > seg) out.push_back(nominal_type(seg, k));
+        seg = k + 1;
+        if (closes) break;
+        continue;
+      }
+      if (s == "(" || s == "[" || s == "{" || s == "<") ++depth;
+      else if (s == ")" || s == "]" || s == "}" || s == ">") --depth;
+      else if (s == ">>") depth -= 2;
+    }
+    return out;
+  }
+
+  void record_signature(std::size_t fn_paren) {
+    const std::string name = function_name(fn_paren);
+    if (name.empty()) return;
+    out.signatures.push_back(FunctionSig{name, param_types(fn_paren)});
   }
 
   std::size_t skip_to_semicolon(std::size_t i) {
@@ -169,17 +236,20 @@ struct Parser {
     ClassInfo& cls = out.classes[static_cast<std::size_t>(class_index)];
     std::size_t seg_start = 0;
     bool first_segment = true;
+    std::string type;  // `int a_, b_;`: later declarators share the type
     for (std::size_t k = 0; k <= decl.size(); ++k) {
       const bool at_end = k == decl.size();
       if (!at_end && text(decl[k]) != ",") continue;
       // Segment [seg_start, k).
       std::size_t name_idx = npos;
+      std::size_t type_idx = npos;
       bool is_ref = false;
       bool node = false;
       bool map_like = false;
       for (std::size_t m = seg_start; m < k; ++m) {
         const std::size_t ti = decl[m];
         if (toks[ti].is_identifier) {
+          type_idx = name_idx;
           name_idx = ti;
           // The container keyword sits at top level, before its '<'; the
           // declared name comes later and overwrites name_idx.
@@ -191,6 +261,9 @@ struct Parser {
       // The first declarator needs at least a type and a name; later ones
       // (`int a_, b_;`) are just a name.
       const std::size_t min_tokens = first_segment ? 2 : 1;
+      if (first_segment && type_idx != npos) {
+        type = is_std_function(type_idx) ? "std::function" : text(type_idx);
+      }
       if (name_idx != npos && k - seg_start >= min_tokens) {
         FieldInfo f;
         f.name = text(name_idx);
@@ -198,6 +271,7 @@ struct Parser {
         f.is_reference = is_ref;
         f.node_container = node;
         f.map_like = map_like;
+        f.type = type;
         cls.fields.push_back(std::move(f));
       }
       seg_start = k + 1;
@@ -279,6 +353,7 @@ struct Parser {
 
     // ';'-terminated statement.
     if (fn_paren != npos || has_operator) {
+      record_signature(fn_paren);
       if (in_class) note_member_function(fn_paren, scope.class_index);
       return j;
     }
@@ -311,6 +386,7 @@ struct Parser {
     const std::size_t past = skip_balanced(body_open);
     const std::string name = function_name(fn_paren);
     if (name.empty()) return past;  // operator overloads and friends
+    record_signature(fn_paren);
 
     FunctionDef fd;
     fd.name = name;
@@ -357,6 +433,10 @@ struct Parser {
           text(i + 1) == ":") {
         i += 2;
         continue;
+      }
+      if (t == "using" && is_ident(i + 1) && text(i + 2) == "=" &&
+          is_std_function(i + 5)) {
+        out.function_aliases.push_back(text(i + 1));
       }
       if (non_field_starters().count(t)) {
         i = skip_to_semicolon(i);

@@ -15,7 +15,8 @@
 //   * snap-coverage matches each class's declared fields against the
 //     identifiers referenced in its save_state / restore_state bodies;
 //   * hot-alloc walks call edges between function bodies starting from
-//     the declared hot-path roster.
+//     the declared hot-path roster, and uses the recorded parameter and
+//     field types to spot lambdas converted to std::function.
 
 #include <cstddef>
 #include <string>
@@ -35,6 +36,8 @@ struct FieldInfo {
   bool node_container = false;
   // Subset of node_container whose operator[] default-inserts.
   bool map_like = false;
+  // Nominal declared type (see FunctionSig::param_types).
+  std::string type;
 };
 
 struct ClassInfo {
@@ -56,9 +59,22 @@ struct FunctionDef {
   std::size_t body_end = 0;
 };
 
+// A function declaration or definition (member or free), with the
+// nominal type of each parameter: "std::function" when the parameter's
+// type is spelled std::function<...>, otherwise the last identifier of
+// its type (`const net::Packet& p` -> "Packet", `F&& fn` -> "F"), so
+// aliases of std::function can be resolved across files.
+struct FunctionSig {
+  std::string name;  // bare function name
+  std::vector<std::string> param_types;
+};
+
 struct FileStructure {
   std::vector<ClassInfo> classes;
   std::vector<FunctionDef> functions;
+  std::vector<FunctionSig> signatures;
+  // Names declared as `using Name = std::function<...>;`.
+  std::vector<std::string> function_aliases;
 };
 
 FileStructure parse_structure(const LexedFile& lex);
