@@ -84,8 +84,9 @@ void FlowTable::save_state(snapshot::StateWriter& w) const {
   for (const auto& [k, sends] : parked_) {
     w.u64(k);
     w.u64(sends.size());
-    // Parked sends carry live packets and on_refused closures; they ride
-    // the boxed side channel whole (PendingSend is copyable).
+    // Parked sends carry live packets; they ride the boxed side channel
+    // whole (PendingSend is copyable). Their refusal callbacks stay in the
+    // Network's table, which the Network saves itself.
     for (const PendingSend& p : sends) w.box(p);
   }
   w.u64(next_park_seq_);

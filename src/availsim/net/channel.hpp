@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "availsim/net/packet.hpp"
@@ -15,6 +14,11 @@ class StateWriter;
 
 namespace availsim::net {
 
+/// Index of a reliable send's refusal callback in its Network's table;
+/// kNoRefusal when the send has none.
+using RefusalId = std::uint32_t;
+inline constexpr RefusalId kNoRefusal = ~RefusalId{0};
+
 /// Book-keeping for reliable ("TCP-like") flows between host pairs.
 ///
 /// Reliability here means: packets sent while the path is down are held and
@@ -26,7 +30,7 @@ class FlowTable {
  public:
   struct PendingSend {
     Packet packet;
-    std::function<void()> on_refused;
+    RefusalId refusal = kNoRefusal;
     /// Park order, assigned by park(). Every drain returns sends sorted by
     /// this, so link-repair flushes replay in the chronological order the
     /// packets were parked — independent of the hash order of parked_

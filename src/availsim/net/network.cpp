@@ -120,23 +120,39 @@ void Network::send(NodeId src, NodeId dst, int port, std::size_t bytes,
                    std::shared_ptr<const void> body, SendOptions options) {
   assert(hosts_.contains(src) && hosts_.contains(dst));
   Packet packet{src, dst, port, bytes, std::move(body)};
-  transmit(std::move(packet), std::move(options));
+  const RefusalId refusal = hold_refusal(options);
+  transmit(std::move(packet), options.reliable, refusal);
 }
 
-void Network::transmit(Packet packet, SendOptions options) {
+RefusalId Network::hold_refusal(SendOptions& options) {
+  if (!options.reliable || !options.on_refused) return kNoRefusal;
+  if (free_refusals_.empty()) {
+    refusals_.push_back(std::move(options.on_refused));
+    return static_cast<RefusalId>(refusals_.size() - 1);
+  }
+  const RefusalId id = free_refusals_.back();
+  free_refusals_.pop_back();
+  refusals_[id] = std::move(options.on_refused);
+  return id;
+}
+
+sim::EventFn Network::take_refusal(RefusalId id) {
+  if (id == kNoRefusal) return {};
+  free_refusals_.push_back(id);
+  return std::move(refusals_[id]);
+}
+
+void Network::transmit(Packet packet, bool reliable, RefusalId refusal) {
   if (packet.src == packet.dst) {
     // Loopback: skip links and the switch entirely.
-    sim_.schedule_after(10 * sim::kMicrosecond,
-                        [this, packet = std::move(packet),
-                         options = std::move(options)]() mutable {
-                          deliver(packet, options);
-                        });
+    schedule_delivery(sim_.now() + 10 * sim::kMicrosecond, std::move(packet),
+                      refusal);
     return;
   }
   if (!path_up(packet.src, packet.dst)) {
-    if (options.reliable) {
+    if (reliable) {
       flows_.park(packet.src, packet.dst,
-                  FlowTable::PendingSend{std::move(packet), std::move(options.on_refused)});
+                  FlowTable::PendingSend{std::move(packet), refusal});
     } else {
       ++dropped_;
     }
@@ -153,7 +169,7 @@ void Network::transmit(Packet packet, SendOptions options) {
   }
   const double loss = path_loss(packet.src, packet.dst);
   if (loss > 0.0) {
-    if (!options.reliable) {
+    if (!reliable) {
       // Datagrams crossing a sick link are simply gone (heartbeats,
       // multicasts, acks) — the gray regime the detectors must survive.
       if (rng_.uniform() < loss) {
@@ -171,16 +187,26 @@ void Network::transmit(Packet packet, SendOptions options) {
   } else if (!quality_.empty()) {
     arrive += path_degradation_delay(packet.src, packet.dst);
   }
-  if (options.reliable) {
+  if (reliable) {
     arrive = flows_.sequence(packet.src, packet.dst, arrive);
   }
-  sim_.schedule_at(arrive, [this, packet = std::move(packet),
-                            options = std::move(options)]() mutable {
-    deliver(packet, options);
-  });
+  schedule_delivery(arrive, std::move(packet), refusal);
 }
 
-void Network::deliver(const Packet& packet, const SendOptions& options) {
+void Network::schedule_delivery(sim::Time at, Packet packet,
+                                RefusalId refusal) {
+  auto delivery = [this, packet = std::move(packet), refusal] {
+    deliver(packet, refusal);
+  };
+  // One of these per packet: it must never spill to the heap.
+  static_assert(sim::EventFn::stores_inline<decltype(delivery)>());
+  sim_.schedule_at(at, std::move(delivery));
+}
+
+void Network::deliver(const Packet& packet, RefusalId refusal) {
+  // The send resolves here one way or another; take its callback first,
+  // since the receiving process may send again and reuse the index.
+  sim::EventFn on_refused = take_refusal(refusal);
   Host* dst = hosts_.at(packet.dst);
   if (dst->state() == Host::State::kDown) {
     // A dead host is *silent*: no RST ever comes back, the sender's TCP
@@ -201,9 +227,9 @@ void Network::deliver(const Packet& packet, const SendOptions& options) {
   }
   // Host up but no process owns the port: connection refused.
   ++dropped_;
-  if (options.reliable && options.on_refused) {
+  if (on_refused) {
     // TCP RST comes back one latency later.
-    sim_.schedule_after(params_.base_latency, options.on_refused);
+    sim_.schedule_after(params_.base_latency, std::move(on_refused));
   }
 }
 
@@ -258,7 +284,7 @@ void Network::multicast(NodeId src, int group, int port, std::size_t bytes,
   for (NodeId member : it->second) {
     if (member == src) continue;
     Packet packet{src, member, port, bytes, body};
-    transmit(std::move(packet), SendOptions{});
+    transmit(std::move(packet), /*reliable=*/false, kNoRefusal);
   }
 }
 
@@ -327,6 +353,15 @@ void Network::save_state(snapshot::StateWriter& w) const {
   }
   w.u64(next_ping_id_);
   flows_.save_state(w);
+  // Verbatim, by index: in-flight delivery closures and parked sends hold
+  // RefusalIds into this table.
+  w.u64(refusals_.size());
+  for (const sim::EventFn& fn : refusals_) {
+    assert(fn.clonable() && "on_refused must capture by value to snapshot");
+    w.box(std::make_shared<const sim::EventFn>(fn.clone()));
+  }
+  w.u64(free_refusals_.size());
+  for (RefusalId id : free_refusals_) w.u32(id);
   w.boolean(switch_up_);
   w.u64(delivered_);
   w.u64(dropped_);
@@ -380,6 +415,15 @@ void Network::restore_state(snapshot::StateReader& r) {
   }
   next_ping_id_ = r.u64();
   flows_.restore_state(r);
+  refusals_.clear();
+  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
+    // Clone, never move: the checkpoint may be restored again.
+    refusals_.push_back(r.unbox<std::shared_ptr<const sim::EventFn>>()->clone());
+  }
+  free_refusals_.clear();
+  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
+    free_refusals_.push_back(r.u32());
+  }
   switch_up_ = r.boolean();
   delivered_ = r.u64();
   dropped_ = r.u64();
@@ -392,10 +436,7 @@ void Network::restore_state(snapshot::StateReader& r) {
 
 void Network::flush(std::vector<FlowTable::PendingSend> parked) {
   for (auto& p : parked) {
-    SendOptions options;
-    options.reliable = true;
-    options.on_refused = std::move(p.on_refused);
-    transmit(std::move(p.packet), std::move(options));
+    transmit(std::move(p.packet), /*reliable=*/true, p.refusal);
   }
 }
 

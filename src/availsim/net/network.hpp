@@ -60,7 +60,7 @@ struct SendOptions {
   /// and report refusal (destination down / port unbound) to the sender.
   bool reliable = false;
   /// Fired (asynchronously) when a reliable packet is refused.
-  std::function<void()> on_refused;
+  sim::EventFn on_refused;
 };
 
 class Network {
@@ -138,8 +138,15 @@ class Network {
     std::uint64_t epoch = 0;
   };
 
-  void transmit(Packet packet, SendOptions options);
-  void deliver(const Packet& packet, const SendOptions& options);
+  /// Moves a reliable send's refusal callback into refusals_, where it
+  /// waits until the packet is delivered, dropped or refused. Returns its
+  /// index, or kNoRefusal when there is nothing to report to.
+  RefusalId hold_refusal(SendOptions& options);
+  /// Removes and returns the callback held at `id` (empty for kNoRefusal).
+  sim::EventFn take_refusal(RefusalId id);
+  void transmit(Packet packet, bool reliable, RefusalId refusal);
+  void schedule_delivery(sim::Time at, Packet packet, RefusalId refusal);
+  void deliver(const Packet& packet, RefusalId refusal);
   void flush(std::vector<FlowTable::PendingSend> parked);
   sim::Time tx_time(std::size_t bytes) const;
   /// Combined per-direction loss probability of the (src, dst) path.
@@ -174,6 +181,11 @@ class Network {
   std::map<std::uint64_t, PingCallback> pings_;
   std::uint64_t next_ping_id_ = 1;
   FlowTable flows_;
+  // Refusal callbacks of reliable sends in flight or parked, by RefusalId.
+  // Delivery closures and parked sends carry only the index, which keeps
+  // the delivery closure inside EventFn's inline buffer.
+  std::vector<sim::EventFn> refusals_;
+  std::vector<RefusalId> free_refusals_;
   bool switch_up_ = true;
   std::uint64_t delivered_ = 0;
   std::uint64_t dropped_ = 0;

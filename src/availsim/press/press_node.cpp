@@ -656,7 +656,6 @@ void PressNode::pump_queue(net::NodeId peer) {
     if (entry->is_request) {
       ++stats_.forwards_sent;
       const std::uint64_t fid = entry->request_id;
-      // availlint: hot-ok(net::SendOptions::on_refused is a std::function; this 32-byte capture allocates once per forward until SendOptions takes an EventFn)
       options.on_refused = [this, e = epoch_, peer, fid] {
         if (epoch_ != e || !process_up_) return;
         on_forward_refused(peer, fid);

@@ -10,33 +10,85 @@
 
 namespace availsim::sim {
 
+namespace {
+
+constexpr std::size_t kArity = 4;
+
+bool before(const QueuedEvent& a, const QueuedEvent& b) {
+  return a.t != b.t ? a.t < b.t : a.seq < b.seq;
+}
+
+}  // namespace
+
 std::uint32_t Simulator::acquire_slot() {
   if (!free_slots_.empty()) {
     const std::uint32_t slot = free_slots_.back();
     free_slots_.pop_back();
-    slots_[slot].live = true;
     return slot;
   }
-  slots_.push_back(Slot{1, true, false});
+  generations_.push_back(1);
+  pos_.push_back(0);
   fns_.emplace_back();
-  return static_cast<std::uint32_t>(slots_.size() - 1);
+  return static_cast<std::uint32_t>(generations_.size() - 1);
 }
 
 void Simulator::release_slot(std::uint32_t slot) {
-  Slot& s = slots_[slot];
-  s.live = false;
-  s.cancelled = false;
-  if (++s.generation == 0) s.generation = 1;  // keep ids != kInvalidEvent
+  std::uint32_t& generation = generations_[slot];
+  if (++generation == 0) generation = 1;  // keep ids != kInvalidEvent
   free_slots_.push_back(slot);
+}
+
+void Simulator::sift_up(std::size_t i, QueuedEvent ev) {
+  while (i > 0) {
+    const std::size_t parent = (i - 1) / kArity;
+    if (!before(ev, heap_[parent])) break;
+    place(i, heap_[parent]);
+    i = parent;
+  }
+  place(i, ev);
+}
+
+void Simulator::sift_down(std::size_t i, QueuedEvent ev) {
+  const std::size_t n = heap_.size();
+  for (;;) {
+    const std::size_t first = kArity * i + 1;
+    if (first >= n) break;
+    const std::size_t end = std::min(first + kArity, n);
+    std::size_t min = first;
+    for (std::size_t c = first + 1; c < end; ++c) {
+      if (before(heap_[c], heap_[min])) min = c;
+    }
+    if (!before(heap_[min], ev)) break;
+    place(i, heap_[min]);
+    i = min;
+  }
+  place(i, ev);
+}
+
+void Simulator::push(QueuedEvent ev) {
+  heap_.emplace_back();
+  sift_up(heap_.size() - 1, ev);
+}
+
+void Simulator::remove_at(std::size_t i) {
+  const QueuedEvent last = heap_.back();
+  heap_.pop_back();
+  if (i == heap_.size()) return;  // the removed entry was the last one
+  // The last entry may belong to another subtree: it sifts up when it is
+  // earlier than the hole's parent, down otherwise.
+  if (i > 0 && before(last, heap_[(i - 1) / kArity])) {
+    sift_up(i, last);
+  } else {
+    sift_down(i, last);
+  }
 }
 
 EventId Simulator::schedule_at(Time t, EventFn fn) {
   if (t < now_) t = now_;
   const std::uint32_t slot = acquire_slot();
-  const EventId id =
-      (static_cast<EventId>(slots_[slot].generation) << 32) | slot;
+  const EventId id = (static_cast<EventId>(generations_[slot]) << 32) | slot;
   fns_[slot] = std::move(fn);
-  queue_.push(QueuedEvent{t, next_seq_++, slot});
+  push(QueuedEvent{t, next_seq_++, slot});
   return id;
 }
 
@@ -49,30 +101,23 @@ void Simulator::cancel(EventId id) {
   if (id == kInvalidEvent) return;
   const auto slot = static_cast<std::uint32_t>(id);
   const auto generation = static_cast<std::uint32_t>(id >> 32);
-  if (slot >= slots_.size()) return;
-  Slot& s = slots_[slot];
-  if (!s.live || s.generation != generation || s.cancelled) return;
-  s.cancelled = true;
-  ++cancelled_pending_;
-}
-
-void Simulator::purge_cancelled_head() {
-  while (const QueuedEvent* head = queue_.head()) {
-    const std::uint32_t slot = head->slot;
-    if (!slots_[slot].cancelled) break;
-    queue_.pop_head();
-    fns_[slot] = EventFn();  // free the tombstone's capture now
-    release_slot(slot);
-    --cancelled_pending_;
-  }
+  // Releasing a slot bumps its generation, so fired, cancelled and running
+  // ids all miss. The heap check rejects the one id that can still match a
+  // free slot: one handed out in a branch that restore_state() discarded.
+  if (slot >= generations_.size() || generations_[slot] != generation) return;
+  const std::uint32_t at = pos_[slot];
+  if (at >= heap_.size() || heap_[at].slot != slot) return;
+  remove_at(at);
+  fns_[slot] = EventFn();  // free the capture now
+  release_slot(slot);
 }
 
 bool Simulator::step() {
-  purge_cancelled_head();
-  if (queue_.empty()) return false;
+  if (heap_.empty()) return false;
+  const QueuedEvent ev = heap_.front();
+  remove_at(0);
   // The callable is moved out before its slot is released: `fn` may
   // schedule new events, and the first of them reuses this very slot.
-  const QueuedEvent ev = queue_.pop_head();
   EventFn fn = std::move(fns_[ev.slot]);
   release_slot(ev.slot);
   assert(ev.t >= now_);
@@ -97,32 +142,28 @@ void Simulator::run() {
   }
 }
 
+void Simulator::run_until(Time t) {
+  stopped_ = false;
+  while (!stopped_ && !heap_.empty() && heap_.front().t <= t) step();
+  if (now_ < t) now_ = t;
+}
+
 void Simulator::save_state(snapshot::StateWriter& w) const {
   w.section("sim");
   w.i64(now_);
   w.u64(next_seq_);
   w.u64(processed_);
-  w.u64(cancelled_pending_);
-  // Slot table, verbatim: generations and tombstone flags must survive so
+  // Slot table, verbatim: generations and the free list must survive so
   // EventIds issued before the snapshot stay valid (and stale ids stay
   // stale) after restore — no renumbering.
-  w.u64(slots_.size());
-  for (const Slot& s : slots_) {
-    w.u32(s.generation);
-    w.boolean(s.live);
-    w.boolean(s.cancelled);
-  }
+  w.u64(generations_.size());
+  for (std::uint32_t g : generations_) w.u32(g);
   w.u64(free_slots_.size());
   for (std::uint32_t s : free_slots_) w.u32(s);
-  // Pending events, tombstones included, in canonical (t, seq) order so
-  // the image is byte-stable regardless of the ladder's internal layout.
-  std::vector<QueuedEvent> entries;
-  entries.reserve(queue_.size());
-  queue_.visit([&entries](const QueuedEvent& ev) { entries.push_back(ev); });
-  std::sort(entries.begin(), entries.end(),
-            [](const QueuedEvent& a, const QueuedEvent& b) {
-              return a.t != b.t ? a.t < b.t : a.seq < b.seq;
-            });
+  // Pending events in canonical (t, seq) order, so the image does not
+  // depend on the heap's internal layout.
+  std::vector<QueuedEvent> entries = heap_;
+  std::sort(entries.begin(), entries.end(), before);
   w.u64(entries.size());
   for (const QueuedEvent& e : entries) {
     const EventFn& fn = fns_[e.slot];
@@ -143,26 +184,19 @@ void Simulator::restore_state(snapshot::StateReader& r) {
   now_ = r.i64();
   next_seq_ = r.u64();
   processed_ = r.u64();
-  cancelled_pending_ = r.u64();
-  slots_.clear();
-  const std::uint64_t slot_count = r.u64();
-  slots_.reserve(slot_count);
-  for (std::uint64_t i = 0; i < slot_count; ++i) {
-    Slot s;
-    s.generation = r.u32();
-    s.live = r.boolean();
-    s.cancelled = r.boolean();
-    slots_.push_back(s);
+  generations_.clear();
+  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
+    generations_.push_back(r.u32());
   }
   free_slots_.clear();
-  const std::uint64_t free_count = r.u64();
-  free_slots_.reserve(free_count);
-  for (std::uint64_t i = 0; i < free_count; ++i) free_slots_.push_back(r.u32());
-  queue_.clear();
+  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
+    free_slots_.push_back(r.u32());
+  }
+  heap_.clear();
+  pos_.assign(generations_.size(), 0);
   fns_.clear();
-  fns_.resize(slot_count);
-  const std::uint64_t event_count = r.u64();
-  for (std::uint64_t i = 0; i < event_count; ++i) {
+  fns_.resize(generations_.size());
+  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
     QueuedEvent ev;
     ev.t = r.i64();
     ev.seq = r.u64();
@@ -170,22 +204,9 @@ void Simulator::restore_state(snapshot::StateReader& r) {
     // Clone out of the snapshot (never move): the same checkpoint may be
     // restored again for the next splitting branch.
     fns_[ev.slot] = r.unbox<std::shared_ptr<const EventFn>>()->clone();
-    queue_.push(ev);
+    push(ev);
   }
   stopped_ = false;
-}
-
-void Simulator::run_until(Time t) {
-  stopped_ = false;
-  while (!stopped_) {
-    // Purge before the time check: a cancelled tombstone at the head must
-    // not let step() run a later-than-t event (or advance the clock).
-    purge_cancelled_head();
-    const QueuedEvent* head = queue_.head();
-    if (head == nullptr || head->t > t) break;
-    step();
-  }
-  if (now_ < t) now_ = t;
 }
 
 }  // namespace availsim::sim

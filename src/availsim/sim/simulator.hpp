@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "availsim/sim/event_fn.hpp"
-#include "availsim/sim/ladder_queue.hpp"
 #include "availsim/sim/time.hpp"
 
 namespace availsim::trace {
@@ -22,6 +21,18 @@ namespace availsim::sim {
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEvent = 0;
 
+/// One pending event as stored in the heap. `seq` is the global
+/// schedule-order counter: the heap's total order is (t, seq), which
+/// encodes FIFO tie-break at equal timestamps. The callable is not here:
+/// it sits in the Simulator's slot table at index `slot`, so sifting moves
+/// plain 24-byte entries and never a closure.
+struct QueuedEvent {
+  Time t = 0;
+  std::uint64_t seq = 0;   // global schedule order; FIFO tie-break at same t
+  std::uint32_t slot = 0;  // slot-table index; generation and callable live
+                           // in the Simulator
+};
+
 /// Single-threaded discrete-event simulator.
 ///
 /// Events scheduled for the same instant fire in scheduling order (FIFO),
@@ -30,22 +41,17 @@ inline constexpr EventId kInvalidEvent = 0;
 /// clients) runs on one Simulator instance. Parallel campaigns (see
 /// harness/campaign.hpp) give each replica its own private Simulator.
 ///
-/// The pending-event set is a ladder queue (sim/ladder_queue.hpp) —
-/// amortised O(1) schedule/pop for the timer-dominated workload — with
-/// the exact strict (t, seq) dequeue order of the binary heap it
-/// replaced (golden traces are byte-identical; see DESIGN.md §4e).
+/// The pending-event set is an indexed 4-ary min-heap of live events keyed
+/// by (t, seq) (DESIGN.md §4e). Each pending event owns one slot of a slot
+/// table: its generation in `generations_`, its heap index in `pos_` and
+/// its callable in `fns_`, all at the same index. The heap holds only
+/// (t, seq, slot), so sifting never touches a closure.
 ///
-/// Each pending event owns one slot of a slot table: its generation and
-/// tombstone flag in `slots_`, its callable in `fns_` at the same index.
-/// The queue itself holds only (t, seq, slot), so ordering work never
-/// touches a closure.
-///
-/// Cancellation is O(1) via slot+generation handles: cancel() flips a flag
-/// in the event's slot, the queue entry becomes a tombstone that is purged
-/// lazily when it reaches the head (destroying its callable then), and the
-/// slot is recycled afterwards. Cancelling an already-fired id is an exact
-/// no-op (the generation no longer matches), so stale handles neither
-/// accumulate state nor ever cancel an unrelated newer event.
+/// Cancellation removes the event at once, in O(log n): the slot's heap
+/// index locates the entry, its callable is destroyed and the slot is
+/// recycled with a bumped generation. An EventId is slot plus generation,
+/// so cancelling an already-fired or already-cancelled id is an exact
+/// no-op and a stale handle never cancels an unrelated newer event.
 class Simulator {
  public:
   Simulator() = default;
@@ -63,19 +69,19 @@ class Simulator {
   /// to zero (fire "immediately", after already-queued events at now()).
   EventId schedule_after(Time delay, EventFn fn);
 
-  /// Cancels a pending event. Cancelling an already-fired or invalid id is
-  /// a no-op, so callers may keep stale handles safely.
+  /// Cancels a pending event, destroying its callable. Cancelling an
+  /// already-fired or invalid id — including a running event's own id —
+  /// is a no-op, so callers may keep stale handles safely.
   void cancel(EventId id);
 
-  /// Runs a single live event. Returns false when no live events remain.
+  /// Runs the earliest pending event. Returns false when none remain.
   bool step();
 
   /// Runs until the queue is empty or stop() is called.
   void run();
 
-  /// Runs all live events with timestamp <= t, then advances now() to t.
-  /// Events after t — including any hiding behind cancelled tombstones at
-  /// the head of the queue — are left pending.
+  /// Runs all pending events with timestamp <= t, then advances now() to
+  /// t. Later events are left pending.
   void run_until(Time t);
 
   /// Makes run()/run_until() return after the current event completes.
@@ -84,8 +90,8 @@ class Simulator {
   /// Number of events executed so far (diagnostics / microbenchmarks).
   std::uint64_t events_processed() const { return processed_; }
 
-  /// Number of live (non-cancelled) events currently pending.
-  std::size_t pending() const { return queue_.size() - cancelled_pending_; }
+  /// Number of events currently pending.
+  std::size_t pending() const { return heap_.size(); }
 
   /// Optional structured-trace sink (not owned). When unset — the default —
   /// every emit point in the substrate reduces to one pointer load and a
@@ -96,12 +102,11 @@ class Simulator {
   void set_tracer(trace::Tracer* tracer);
 
   /// Checkpoints the full event-queue state: clock, seq counter, the slot
-  /// table (generations, tombstone flags, free list) and every pending
-  /// event with a deep clone of its callable. EventIds handed out before
-  /// the snapshot remain valid after restore_state() — nothing is
-  /// renumbered — so subsystems may keep cancellation handles across a
-  /// checkpoint. Requires every pending callable to be copy-constructible
-  /// (EventFn::clonable()).
+  /// table (generations, free list) and every pending event with a deep
+  /// clone of its callable. EventIds handed out before the snapshot remain
+  /// valid after restore_state() — nothing is renumbered — so subsystems
+  /// may keep cancellation handles across a checkpoint. Requires every
+  /// pending callable to be copy-constructible (EventFn::clonable()).
   void save_state(snapshot::StateWriter& writer) const;
 
   /// Restores a checkpoint taken by save_state() into this instance. The
@@ -112,16 +117,20 @@ class Simulator {
   void restore_state(snapshot::StateReader& reader);
 
  private:
-  struct Slot {
-    std::uint32_t generation = 1;  // never 0, so an id is never kInvalidEvent
-    bool live = false;
-    bool cancelled = false;
-  };
-
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
-  /// Pops cancelled tombstones off the head so queue_.head() is live.
-  void purge_cancelled_head();
+  void push(QueuedEvent ev);
+  /// Removes the heap entry at index `i`, refilling the hole with the last
+  /// entry sifted whichever way restores the heap order.
+  void remove_at(std::size_t i);
+  /// Moves `ev` from hole `i` towards the root / the leaves until it sits
+  /// in heap order, keeping pos_ in step with every entry it passes.
+  void sift_up(std::size_t i, QueuedEvent ev);
+  void sift_down(std::size_t i, QueuedEvent ev);
+  void place(std::size_t i, QueuedEvent ev) {
+    heap_[i] = ev;
+    pos_[ev.slot] = static_cast<std::uint32_t>(i);
+  }
 
   Time now_ = 0;
   trace::Tracer* tracer_ = nullptr;  // availlint: snap-skip(wiring; the tracer snapshots itself via the testbed)
@@ -129,11 +138,13 @@ class Simulator {
   bool trace_steps_ = false;  // availlint: snap-skip(debug toggle, not simulated state)
   std::uint64_t next_seq_ = 1;
   std::uint64_t processed_ = 0;
-  std::size_t cancelled_pending_ = 0;
   bool stopped_ = false;  // availlint: snap-skip(cleared on restore; a restored run is live by definition)
-  LadderQueue queue_;
-  std::vector<Slot> slots_;
-  // Pending callables, indexed like slots_; empty for free slots.
+  std::vector<QueuedEvent> heap_;
+  // Slot table, one entry per slot: generation (never 0, so an id is never
+  // kInvalidEvent), heap index while pending, and the pending callable
+  // (empty for free slots).
+  std::vector<std::uint32_t> generations_;
+  std::vector<std::uint32_t> pos_;  // availlint: snap-skip(rebuilt by re-push on restore)
   std::vector<EventFn> fns_;
   std::vector<std::uint32_t> free_slots_;
 };

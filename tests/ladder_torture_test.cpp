@@ -1,11 +1,13 @@
-// Torture tests for the ladder-queue scheduler (sim/ladder_queue.hpp):
-// randomized — but seeded and fully deterministic — interleavings of
-// schedule / cancel / run_until, cross-checked op-for-op against a
-// reference binary heap (the std::priority_queue implementation the
-// ladder queue replaced) for an identical fire order. Directed cases pin
-// down the spots where the ladder structure could plausibly diverge from
-// the heap: same-timestamp FIFO runs that span bucket boundaries inside a
-// rung, and floods that survive a top-pool (epoch) turnover.
+// Torture tests for the simulator's pending-event set (an indexed 4-ary
+// heap, sim/simulator.hpp): randomized — but seeded and fully
+// deterministic — interleavings of schedule / cancel / run_until,
+// cross-checked op-for-op against a reference binary heap
+// (std::priority_queue with lazy cancellation) for an identical fire
+// order. The suite names date from the ladder queue the indexed heap
+// replaced; every case drives only the public Simulator API, so the FIFO
+// cases written against the ladder's bucket and epoch boundaries still
+// guard the (t, seq) contract. The HeapRemoval cases build known heap
+// layouts and cancel into each branch of the in-place removal.
 
 #include <gtest/gtest.h>
 
@@ -69,15 +71,15 @@ class TortureDriver {
     switch (rng_.uniform_int(0, 9)) {
       case 0:
       case 1:
-      case 2:  // near future: lands in the sorted bottom
+      case 2:  // near future: dense, often near the root
         t = now + rng_.uniform_int(0, 1000);
         break;
       case 3:
-      case 4:  // mid horizon: lands in rungs
+      case 4:  // mid horizon
         t = now + rng_.uniform_int(0, 2 * kSecond);
         break;
       case 5:
-      case 6:  // far horizon: lands in the top pool, crosses epochs
+      case 6:  // far horizon: deep leaves that outlive many run_untils
         t = now + rng_.uniform_int(0, 3600 * kSecond);
         break;
       case 7:  // in the past: the simulator clamps to now
@@ -123,7 +125,7 @@ class TortureDriver {
         target = now + rng_.uniform_int(0, 2 * kSecond);
         break;
       case 6:
-      case 7:  // long leap: forces rung rebuilds and epoch turnover
+      case 7:  // long leap: drains most of the heap
         target = now + rng_.uniform_int(0, 3600 * kSecond);
         break;
       case 8:  // no-op: target == now
@@ -226,10 +228,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LadderTortureTest,
                                            0xA5A5A5A5u));
 
 TEST(LadderDirected, SameTimestampFifoSpansBucketBoundaries) {
-  // A flood at one instant, bracketed by neighbours 1 ns either side, so
-  // rung construction must split the span into single-ns buckets and the
-  // flood lands in one bucket far above the sort threshold. FIFO within
-  // the flood must survive the bucket sort.
+  // A flood at one instant, bracketed by neighbours 1 ns either side:
+  // every comparison inside the flood falls through to seq, so FIFO
+  // within it must survive thousands of sifts.
   Simulator sim;
   const Time t = 3600 * kSecond;
   std::vector<int> fired;
@@ -252,9 +253,9 @@ TEST(LadderDirected, SameTimestampFifoSpansBucketBoundaries) {
 
 TEST(LadderDirected, FifoSurvivesEpochTurnover) {
   // Two floods an hour apart. The second flood is scheduled in two waves:
-  // one before the first epoch turnover, one after the clock has advanced
-  // past the first flood (forcing the far pool to re-bucket). FIFO across
-  // the waves — scheduling order, not wave order — must hold.
+  // one before the clock reaches the first flood, one after the first
+  // flood has drained. FIFO across the waves — scheduling order, not wave
+  // order — must hold.
   Simulator sim;
   const Time t1 = 3600 * kSecond;
   const Time t2 = 2 * 3600 * kSecond;
@@ -263,7 +264,7 @@ TEST(LadderDirected, FifoSurvivesEpochTurnover) {
     sim.schedule_at(t1, [&fired, i] { fired.push_back(i); });
     sim.schedule_at(t2, [&fired, i] { fired.push_back(1000 + i); });
   }
-  sim.run_until(t1 + kSecond);  // drains flood 1; epoch rebuilt past it
+  sim.run_until(t1 + kSecond);  // drains flood 1
   ASSERT_EQ(fired.size(), 200u);
   for (int i = 0; i < 200; ++i) {
     sim.schedule_at(t2, [&fired, i] { fired.push_back(1200 + i); });
@@ -278,8 +279,8 @@ TEST(LadderDirected, FifoSurvivesEpochTurnover) {
 }
 
 TEST(LadderDirected, CancelledFloodLeavesNeighboursIntact) {
-  // Cancel every other event of a same-instant flood after it has been
-  // routed into the ladder; survivors must still fire in FIFO order.
+  // Cancel every other event of a same-instant flood, each one removed in
+  // place from the heap; survivors must still fire in FIFO order.
   Simulator sim;
   const Time t = 600 * kSecond;
   std::vector<int> fired;
@@ -296,6 +297,93 @@ TEST(LadderDirected, CancelledFloodLeavesNeighboursIntact) {
   for (int i = 0; i < 500; ++i) {
     ASSERT_EQ(fired[static_cast<std::size_t>(i)], 2 * i + 1);
   }
+}
+
+// Schedules one event per entry of `times`, in order (event i fires tag
+// i), cancels the events listed in `cancels`, schedules `later` after the
+// cancels, then runs to completion and checks the fire order against the
+// reference heap with lazy skips. `later` entries append behind the refill,
+// so a misplaced refill is not simply re-sifted as the next pop's last
+// entry.
+void expect_matches_reference(const std::vector<Time>& times,
+                              const std::vector<std::size_t>& cancels,
+                              const std::vector<Time>& later = {}) {
+  Simulator sim;
+  std::vector<int> fired;
+  std::vector<EventId> ids;
+  std::priority_queue<RefEvent, std::vector<RefEvent>, RefAfter> ref;
+  auto schedule = [&](Time t) {
+    const int tag = static_cast<int>(ids.size());
+    ids.push_back(sim.schedule_at(t, [&fired, tag] { fired.push_back(tag); }));
+    ref.push(RefEvent{t, ids.size(), tag});
+  };
+  for (Time t : times) schedule(t);
+  std::vector<bool> cancelled(times.size() + later.size(), false);
+  for (std::size_t c : cancels) {
+    sim.cancel(ids[c]);
+    cancelled[c] = true;
+  }
+  for (Time t : later) schedule(t);
+  EXPECT_EQ(sim.pending(), ids.size() - cancels.size());
+  std::vector<int> expected;
+  for (; !ref.empty(); ref.pop()) {
+    const int tag = ref.top().tag;
+    if (!cancelled[static_cast<std::size_t>(tag)]) expected.push_back(tag);
+  }
+  sim.run();
+  EXPECT_EQ(fired, expected);
+  EXPECT_EQ(sim.pending(), 0u);
+}
+
+// Times pushed in this order never sift, so the 4-ary heap's array is
+// exactly the push order: index 0 is the root, 1-4 its children, 5-8 the
+// children of 1, 9-12 the children of 2 and 13 the first child of 3.
+const std::vector<Time> kLayout = {10, 20,  100, 30,  40,  21,  22,
+                                   23, 24,  101, 102, 103, 104, 50};
+// Late leaves under 3 and 4, behind everything else.
+const std::vector<Time> kLater = {200, 201, 202, 203, 204, 205};
+
+TEST(HeapRemoval, CancelRootMatchesReferenceHeap) {
+  // The root, then the root that replaced it.
+  expect_matches_reference(kLayout, {0, 1}, kLater);
+}
+
+TEST(HeapRemoval, CancelLastEntryMatchesReferenceHeap) {
+  // The last array slot: removal pops it with nothing to refill.
+  expect_matches_reference(kLayout, {13}, kLater);
+  expect_matches_reference({10, 20, 30, 40, 50}, {4});
+}
+
+TEST(HeapRemoval, CancelInteriorSiftsReplacementUp) {
+  // Index 9 (t = 101) sits under index 2 (t = 100). The last entry
+  // (t = 50, under index 3) refills the hole and must sift up past 100.
+  expect_matches_reference(kLayout, {9}, kLater);
+}
+
+TEST(HeapRemoval, CancelInteriorSiftsReplacementDown) {
+  // Index 1 (t = 20) has children 21-24; the refill (t = 50) sifts down.
+  expect_matches_reference(kLayout, {1}, kLater);
+}
+
+TEST(HeapRemoval, CancelSameTimestampNeighbourFromHandler) {
+  // Four events at one instant. The first, while running, cancels the
+  // second — now the root — and the rest still fire in FIFO order.
+  Simulator sim;
+  std::vector<int> fired;
+  std::vector<EventId> ids(4, kInvalidEvent);
+  ids[0] = sim.schedule_at(kSecond, [&] {
+    fired.push_back(0);
+    sim.cancel(ids[1]);
+    EXPECT_EQ(sim.pending(), 2u);
+  });
+  for (int i = 1; i < 4; ++i) {
+    ids[static_cast<std::size_t>(i)] =
+        sim.schedule_at(kSecond, [&fired, i] { fired.push_back(i); });
+  }
+  sim.run();
+  EXPECT_EQ(fired, (std::vector<int>{0, 2, 3}));
+  EXPECT_EQ(sim.now(), kSecond);
+  EXPECT_EQ(sim.events_processed(), 3u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include "availsim/net/network.hpp"
 #include "availsim/sim/rng.hpp"
 #include "availsim/sim/simulator.hpp"
+#include "availsim/snapshot/state_io.hpp"
 
 namespace availsim::net {
 namespace {
@@ -32,7 +33,7 @@ class NetTest : public ::testing::Test {
   }
 
   void send(NodeId src, NodeId dst, int value, bool reliable = false,
-            std::function<void()> on_refused = nullptr) {
+            sim::EventFn on_refused = {}) {
     Network::SendOptions o;
     o.reliable = reliable;
     o.on_refused = std::move(on_refused);
@@ -114,6 +115,30 @@ TEST_F(NetTest, ReliableRefusedWhenPortUnbound) {
   send(0, 1, 1, true, [&] { refused = true; });
   sim_.run();
   EXPECT_TRUE(refused);
+}
+
+TEST_F(NetTest, RefusalCallbacksSurviveSnapshotAndParking) {
+  // A parked reliable send and one in flight both hold their refusal
+  // callbacks in the network's table, by index; a checkpoint must carry
+  // the table so every restored branch gets both RSTs exactly once.
+  int refused = 0;
+  net_.set_link_up(2, false);
+  send(0, 2, 1, /*reliable=*/true, [&refused] { refused += 1; });   // parks
+  send(0, 1, 2, /*reliable=*/true, [&refused] { refused += 10; });  // flies
+  snapshot::StateWriter w;
+  sim_.save_state(w);
+  net_.save_state(w);
+  const snapshot::Snapshot snap = std::move(w).finish();
+  for (int branch = 0; branch < 2; ++branch) {
+    snapshot::StateReader r(snap);
+    sim_.restore_state(r);
+    net_.restore_state(r);
+    refused = 0;
+    net_.set_link_up(2, true);  // flushes the parked send; no port is bound
+    sim_.run();
+    EXPECT_EQ(refused, 11) << "branch " << branch;
+    EXPECT_EQ(net_.parked_reliable(), 0u);
+  }
 }
 
 TEST_F(NetTest, ReliableSilentWhenHostDown) {

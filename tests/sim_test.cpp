@@ -6,7 +6,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "availsim/sim/ladder_queue.hpp"
 #include "availsim/sim/rng.hpp"
 #include "availsim/sim/simulator.hpp"
 #include "availsim/sim/time.hpp"
@@ -14,8 +13,8 @@
 namespace availsim::sim {
 namespace {
 
-// Queue entries are plain (t, seq, slot) triples; callables live in the
-// simulator's slot table, so the ladder never moves a closure.
+// Heap entries are plain (t, seq, slot) triples; callables live in the
+// simulator's slot table, so sifting never moves a closure.
 static_assert(std::is_trivially_copyable_v<QueuedEvent>);
 static_assert(sizeof(QueuedEvent) <= 24);
 
@@ -117,9 +116,9 @@ TEST(Simulator, RunUntilLeavesLaterEventsPending) {
   EXPECT_TRUE(late);
 }
 
-// Regression: a cancelled tombstone at the head of the queue must not let
-// run_until(t) execute an event with timestamp > t (step() used to pop the
-// tombstone and then run the *next* real event regardless of its time).
+// Regression: cancelling the head of the queue must not let run_until(t)
+// execute an event with timestamp > t (step() once popped the cancelled
+// head and then ran the *next* real event regardless of its time).
 TEST(Simulator, RunUntilDoesNotRunPastTargetBehindCancelledHead) {
   Simulator sim;
   bool late = false;
@@ -134,8 +133,7 @@ TEST(Simulator, RunUntilDoesNotRunPastTargetBehindCancelledHead) {
   EXPECT_EQ(sim.now(), 10 * kSecond);
 }
 
-// Regression: pending() must report live events, not cancelled tombstones
-// still sitting in the queue.
+// Regression: pending() must report live events, never cancelled ones.
 TEST(Simulator, PendingCountsLiveEventsOnly) {
   Simulator sim;
   EventId a = sim.schedule_at(1 * kSecond, [] {});
@@ -219,20 +217,38 @@ TEST(Simulator, CaptureReleasedWhenEventFires) {
   EXPECT_TRUE(watch.expired());
 }
 
-TEST(Simulator, CancelledCaptureReleasedWhenTombstonePurged) {
+TEST(Simulator, CancelReleasesCaptureAtOnce) {
   Simulator sim;
   auto probe = std::make_shared<int>(7);
   const std::weak_ptr<int> watch = probe;
   const EventId id = sim.schedule_after(
       kSecond, [p = std::move(probe)] { ADD_FAILURE() << "cancelled ran"; });
   sim.schedule_after(2 * kSecond, [] {});
+  EXPECT_EQ(sim.pending(), 2u);
   sim.cancel(id);
-  // Cancellation only marks the slot; the capture goes with the purge.
-  EXPECT_FALSE(watch.expired());
-  sim.run_until(kSecond / 2);  // purges the tombstone at the head
+  // cancel() removes the event itself: its capture and its place in the
+  // pending count go at once, before the clock moves.
   EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(sim.pending(), 1u);
+  sim.run_until(kSecond / 2);
   EXPECT_EQ(sim.now(), kSecond / 2);
   EXPECT_EQ(sim.pending(), 1u);
+}
+
+TEST(Simulator, RunningEventCancellingItsOwnIdIsNoop) {
+  // The running event's slot is already released, so its own id is stale:
+  // cancelling it must not hit the event that reused the slot.
+  Simulator sim;
+  std::vector<int> log;
+  EventId self = kInvalidEvent;
+  self = sim.schedule_after(kSecond, [&sim, &log, &self] {
+    sim.schedule_after(kSecond, [&log] { log.push_back(2); });
+    sim.cancel(self);
+    log.push_back(1);
+  });
+  sim.run();
+  EXPECT_EQ(log, (std::vector<int>{1, 2}));
+  EXPECT_EQ(sim.events_processed(), 2u);
 }
 
 TEST(Simulator, EventReusingItsOwnSlotKeepsItsCaptures) {

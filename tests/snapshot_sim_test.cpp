@@ -1,11 +1,11 @@
 // Simulator-core snapshot/restore regression tests.
 //
-// The headline regression here (SeqAndTombstonesSurviveMidEpoch) pins the
-// exactness requirement the first snapshot prototype violated: restoring
-// by re-scheduling events through schedule_at() renumbers seq counters and
+// The headline regression here (SeqAndCancellationsSurviveCheckpoint) pins
+// the exactness requirement a naive restore violates: restoring by
+// re-scheduling events through schedule_at() renumbers seq counters and
 // slot generations, which (a) breaks FIFO tie-break order for same-instant
 // events, (b) invalidates EventIds subsystems kept across the checkpoint,
-// and (c) loses cancelled tombstones that are still pending in the ladder.
+// and (c) can bring back events cancelled before it.
 // save_state()/restore_state() must round-trip all of it bit-exactly.
 
 #include <gtest/gtest.h>
@@ -91,49 +91,74 @@ TEST(SnapshotSim, ContinuationMatchesStraightRun) {
   EXPECT_EQ(replayed, straight);
 }
 
-TEST(SnapshotSim, SeqAndTombstonesSurviveMidEpoch) {
+TEST(SnapshotSim, SeqAndCancellationsSurviveCheckpoint) {
   Simulator s;
   std::vector<std::string> fired;
-
-  // Far-future timer population pushes the ladder into a bucketed epoch;
-  // the near-future events land in the sorted bottom.
-  std::vector<EventId> cancellable;
+  std::vector<EventId> ids;
   for (int i = 0; i < 300; ++i) {
-    const Time t = (1 + i % 97) * sim::kSecond;
-    cancellable.push_back(s.schedule_at(t, [&fired, i, &s] {
+    const Time t = (1 + i % 97) * sim::kSecond;  // same-instant runs of 3-4
+    ids.push_back(s.schedule_at(t, [&fired, i, &s] {
       fired.push_back(std::to_string(s.now() / sim::kSecond) + "#" +
                       std::to_string(i));
     }));
   }
-  // Cancel a third of them *before* the snapshot: their tombstones are
-  // still pending inside ladder buckets when we checkpoint.
-  for (std::size_t i = 0; i < cancellable.size(); i += 3) {
-    s.cancel(cancellable[i]);
-  }
-  // Enter the epoch mid-way so the ladder has a materialised bottom, live
-  // rungs, and pending tombstones all at once.
+  // Cancel a third of them *before* the checkpoint, spread over the whole
+  // horizon, so cancelled events fall on both sides of the snapshot.
+  for (std::size_t i = 0; i < ids.size(); i += 3) s.cancel(ids[i]);
   s.run_until(40 * sim::kSecond);
   ASSERT_GT(s.pending(), 0u);
 
   const std::uint64_t processed_at_snap = s.events_processed();
   const std::size_t pending_at_snap = s.pending();
-  const std::size_t mark = fired.size();
   const snapshot::Snapshot snap = capture(s);
 
-  // Reference continuation.
-  s.run();
-  const std::vector<std::string> expected_tail(
-      fired.begin() + static_cast<std::ptrdiff_t>(mark), fired.end());
+  // The continuation cancels another third through pre-snapshot ids, adds
+  // a fresh event at an instant pre-snapshot events already hold, and
+  // returns the kSim step trace, which carries every event's raw seq.
+  auto continue_run = [&] {
+    fired.clear();
+    trace::TracerOptions topts;
+    topts.mask = static_cast<std::uint32_t>(trace::Category::kSim);
+    trace::Tracer tracer(topts);
+    s.set_tracer(&tracer);
+    for (std::size_t i = 1; i < ids.size(); i += 3) s.cancel(ids[i]);
+    s.schedule_at(50 * sim::kSecond, [&fired] { fired.push_back("fresh"); });
+    s.run();
+    s.set_tracer(nullptr);
+    std::string steps;
+    for (const trace::TraceRecord& rec : tracer.snapshot()) {
+      steps += trace::format_record(rec);
+      steps += '\n';
+    }
+    return steps;
+  };
+  const std::string expected_steps = continue_run();
+  const std::vector<std::string> expected_tail = fired;
   const std::uint64_t processed_at_end = s.events_processed();
 
-  // Rewind and re-run: identical tail, identical counters.
-  fired.clear();
+  // Rewind and re-run: identical steps and seqs, identical counters.
   restore(s, snap);
   EXPECT_EQ(s.events_processed(), processed_at_snap);
   EXPECT_EQ(s.pending(), pending_at_snap);
-  s.run();
+  EXPECT_EQ(continue_run(), expected_steps);
   EXPECT_EQ(fired, expected_tail);
   EXPECT_EQ(s.events_processed(), processed_at_end);
+
+  // Neither cancelled third fires after the restore; the fresh event runs
+  // after the pre-snapshot events that share its instant.
+  ASSERT_FALSE(fired.empty());
+  std::size_t fresh_at = fired.size();
+  for (std::size_t k = 0; k < fired.size(); ++k) {
+    if (fired[k] == "fresh") {
+      fresh_at = k;
+      continue;
+    }
+    const int i = std::stoi(fired[k].substr(fired[k].find('#') + 1));
+    EXPECT_EQ(i % 3, 2) << fired[k];
+  }
+  ASSERT_LT(fresh_at, fired.size());
+  ASSERT_GT(fresh_at, 0u);
+  EXPECT_EQ(fired[fresh_at - 1].rfind("50#", 0), 0u) << fired[fresh_at - 1];
 }
 
 TEST(SnapshotSim, PreSnapshotEventIdsStayValidAfterRestore) {
@@ -162,6 +187,29 @@ TEST(SnapshotSim, PreSnapshotEventIdsStayValidAfterRestore) {
   s2.cancel(stale);
   s2.run();
   EXPECT_EQ(late, 1);
+}
+
+TEST(SnapshotSim, IdFromDiscardedBranchStaysInert) {
+  // Slot 0 is free at the checkpoint. The branch after it hands slot 0 out
+  // again, at the generation the restore brings back; cancelling that id
+  // after the restore must not touch the restored event in slot 1.
+  Simulator s;
+  int fired = 0;
+  s.schedule_at(0, [] {});
+  s.schedule_at(sim::kSecond, [&fired] { ++fired; });
+  s.run_until(0);
+  const snapshot::Snapshot snap = capture(s);
+  const EventId discarded = s.schedule_at(2 * sim::kSecond, [] {});
+  ASSERT_EQ(static_cast<std::uint32_t>(discarded), 0u);
+  restore(s, snap);
+  s.cancel(discarded);
+  EXPECT_EQ(s.pending(), 1u);
+  s.run();
+  EXPECT_EQ(fired, 1);
+  // The slot table stayed consistent: slot 0 is handed out exactly once.
+  const EventId a = s.schedule_after(sim::kSecond, [] {});
+  const EventId b = s.schedule_after(sim::kSecond, [] {});
+  EXPECT_NE(static_cast<std::uint32_t>(a), static_cast<std::uint32_t>(b));
 }
 
 TEST(SnapshotSim, SeqCountersNotRenumbered) {
