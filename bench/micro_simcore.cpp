@@ -4,20 +4,16 @@
 // traffic the availability experiments can afford.
 //
 // After the google-benchmark suite, a hand-timed section measures raw
-// event-loop throughput, a fig7-style mini fault campaign with
-// --jobs 1 vs --jobs N (parallel campaign runner), and a warm-start
-// mini-campaign: one warmed-up world is checkpointed (snapshot/state_io)
-// and restored per fault variant instead of re-simulating the warmup,
-// with the cold and warm availabilities required to match exactly. The
-// perf trajectory lands in BENCH_simcore.json (path override:
-// AVAILSIM_BENCH_JSON; --quick shrinks the campaigns for CI).
+// event-loop throughput and a fig7-style mini fault campaign with
+// --jobs 1 vs --jobs N (parallel campaign runner). The perf trajectory
+// lands in BENCH_simcore.json (path override: AVAILSIM_BENCH_JSON;
+// --quick shrinks the campaign for CI).
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -31,7 +27,6 @@
 #include "availsim/sim/flat.hpp"
 #include "availsim/sim/rng.hpp"
 #include "availsim/sim/simulator.hpp"
-#include "availsim/snapshot/state_io.hpp"
 #include "availsim/workload/recorder.hpp"
 #include "availsim/workload/zipf.hpp"
 
@@ -248,38 +243,6 @@ ReplicaResult run_campaign_replica(int i, sim::Time horizon) {
   return r;
 }
 
-// Warm-start fan-out: many scripted fault variants over ONE warmed-up
-// world. The cold leg re-simulates construction + warmup for every
-// variant; the warm leg builds and warms the world once, snapshots it,
-// and restores the checkpoint per variant. Because restore is exact, a
-// cold variant and its warm twin are byte-for-byte the same world at the
-// fault instant, so their availabilities must be identical.
-struct WarmWorld {
-  sim::Simulator sim;
-  std::unique_ptr<harness::Testbed> tb;
-  std::unique_ptr<fault::FaultInjector> injector;
-
-  explicit WarmWorld(std::uint64_t seed) {
-    harness::TestbedOptions opts =
-        harness::default_testbed_options(harness::ServerConfig::kCoop, seed);
-    opts.warmup = 30 * sim::kSecond;
-    tb = std::make_unique<harness::Testbed>(sim, opts);
-    injector =
-        std::make_unique<fault::FaultInjector>(sim, *tb, sim::Rng(seed ^ 0xF00));
-    tb->start();
-  }
-};
-
-double run_fault_variant(WarmWorld& w, int variant, sim::Time horizon) {
-  const sim::Time warmup = 30 * sim::kSecond;
-  w.injector->schedule_fault(warmup + (5 + 3 * variant) * sim::kSecond,
-                             fault::FaultType::kNodeCrash, 1 + variant % 3,
-                             (20 + 5 * variant) * sim::kSecond);
-  const sim::Time end = warmup + horizon;
-  w.sim.run_until(end);
-  return w.tb->recorder().availability(warmup, end);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -362,57 +325,6 @@ int main(int argc, char** argv) {
         replicas, sim::to_seconds(horizon), serial_s);
   }
 
-  // --- warm-start vs cold mini-campaign ---
-  const int variants = quick ? 3 : 8;
-  const sim::Time variant_horizon = (quick ? 60 : 120) * sim::kSecond;
-  constexpr std::uint64_t kWarmSeed = 99;
-
-  harness::WallTimer cold_timer;
-  std::vector<double> cold_avail;
-  for (int v = 0; v < variants; ++v) {
-    WarmWorld world(kWarmSeed);
-    world.sim.run_until(30 * sim::kSecond);
-    cold_avail.push_back(run_fault_variant(world, v, variant_horizon));
-  }
-  const double cold_s = cold_timer.seconds();
-
-  harness::WallTimer warm_timer;
-  std::vector<double> warm_avail;
-  double snapshot_s = 0.0, restore_s = 0.0;
-  {
-    WarmWorld world(kWarmSeed);
-    world.sim.run_until(30 * sim::kSecond);
-    harness::WallTimer snap_timer;
-    snapshot::StateWriter wtr;
-    world.sim.save_state(wtr);
-    world.tb->save_state(wtr);
-    world.injector->save_state(wtr);
-    const snapshot::Snapshot snap = std::move(wtr).finish();
-    snapshot_s = snap_timer.seconds();
-    for (int v = 0; v < variants; ++v) {
-      harness::WallTimer restore_timer;
-      snapshot::StateReader r(snap);
-      world.sim.restore_state(r);
-      world.tb->restore_state(r);
-      world.injector->restore_state(r);
-      restore_s += restore_timer.seconds();
-      warm_avail.push_back(run_fault_variant(world, v, variant_horizon));
-    }
-  }
-  const double warm_s = warm_timer.seconds();
-
-  bool warm_identical = true;
-  for (int v = 0; v < variants; ++v) {
-    warm_identical &= cold_avail[static_cast<std::size_t>(v)] ==
-                      warm_avail[static_cast<std::size_t>(v)];
-  }
-  std::printf(
-      "warm-start (%d variants x %.0f s sim): cold %.2f s, warm %.2f s "
-      "(%.2fx; snapshot %.3f s, restores %.3f s), availabilities %s\n",
-      variants, sim::to_seconds(variant_horizon), cold_s, warm_s,
-      warm_s > 0 ? cold_s / warm_s : 0.0, snapshot_s, restore_s,
-      warm_identical ? "identical" : "DIVERGENT");
-
   harness::BenchJson bench;
   bench.add("bench", std::string("simcore"));
   bench.add("event_loop_events_per_sec", loop_eps);
@@ -437,20 +349,10 @@ int main(int argc, char** argv) {
   }
   bench.add("campaign_results_identical", std::string(identical ? "true"
                                                                 : "false"));
-  bench.add("warmstart_variants", variants);
-  bench.add("warmstart_sim_seconds_per_variant",
-            sim::to_seconds(variant_horizon));
-  bench.add("campaign_wall_seconds_cold", cold_s);
-  bench.add("campaign_wall_seconds_warmstart", warm_s);
-  bench.add("warmstart_snapshot_seconds", snapshot_s);
-  bench.add("warmstart_restore_seconds_total", restore_s);
-  bench.add("warmstart_speedup", warm_s > 0 ? cold_s / warm_s : 0.0);
-  bench.add("warmstart_results_identical",
-            std::string(warm_identical ? "true" : "false"));
   const char* env_path = std::getenv("AVAILSIM_BENCH_JSON");
   const std::string path = env_path ? env_path : "BENCH_simcore.json";
   if (bench.write(path)) {
     std::printf("(perf trajectory written to %s)\n", path.c_str());
   }
-  return identical && warm_identical ? 0 : 1;
+  return identical ? 0 : 1;
 }

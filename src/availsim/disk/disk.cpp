@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "availsim/snapshot/state_io.hpp"
 #include "availsim/trace/trace.hpp"
 
 namespace availsim::disk {
@@ -91,44 +90,6 @@ void Disk::purge() {
     inflight_ = Op{};
   }
   queue_.clear();
-}
-
-void Disk::save_state(snapshot::StateWriter& w) const {
-  w.section("disk");
-  w.i64(trace_node_);
-  w.i64(trace_index_);
-  w.u8(static_cast<std::uint8_t>(state_));
-  w.f64(slow_factor_);
-  w.boolean(busy_);
-  w.u64(inflight_event_);
-  w.u64(inflight_.bytes);
-  w.box(inflight_.done);
-  w.u64(queue_.size());
-  for (const Op& op : queue_) {
-    w.u64(op.bytes);
-    w.box(op.done);
-  }
-  w.u64(completed_);
-}
-
-void Disk::restore_state(snapshot::StateReader& r) {
-  r.section("disk");
-  trace_node_ = static_cast<std::int32_t>(r.i64());
-  trace_index_ = r.i64();
-  state_ = static_cast<State>(r.u8());
-  slow_factor_ = r.f64();
-  busy_ = r.boolean();
-  inflight_event_ = r.u64();
-  inflight_.bytes = r.u64();
-  inflight_.done = r.unbox<Completion>();
-  queue_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    Op op;
-    op.bytes = r.u64();
-    op.done = r.unbox<Completion>();
-    queue_.push_back(std::move(op));
-  }
-  completed_ = r.u64();
 }
 
 }  // namespace availsim::disk

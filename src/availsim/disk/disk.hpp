@@ -2,15 +2,10 @@
 
 #include <cstddef>
 #include <deque>
-#include <functional>
 
+#include "availsim/sim/event_fn.hpp"
 #include "availsim/sim/simulator.hpp"
 #include "availsim/sim/time.hpp"
-
-namespace availsim::snapshot {
-class StateReader;
-class StateWriter;
-}  // namespace availsim::snapshot
 
 namespace availsim::disk {
 
@@ -42,7 +37,7 @@ class Disk {
  public:
   enum class State { kOk, kTimeoutFault, kDegraded };
 
-  using Completion = std::function<void()>;
+  using Completion = sim::EventFn;
 
   Disk(sim::Simulator& simulator, DiskParams params);
 
@@ -85,12 +80,6 @@ class Disk {
 
   std::uint64_t ops_completed() const { return completed_; }
 
-  /// --- snapshot support (fault state, queue contents, in-flight op; the
-  /// in-flight completion EventId stays valid because the simulator restores
-  /// its slot table exactly) ---
-  void save_state(snapshot::StateWriter& writer) const;
-  void restore_state(snapshot::StateReader& reader);
-
  private:
   struct Op {
     std::size_t bytes;
@@ -100,7 +89,7 @@ class Disk {
   void start_next();
 
   sim::Simulator& sim_;
-  DiskParams params_;  // availlint: snap-skip(construction-time disk geometry/timing config)
+  DiskParams params_;
   std::int32_t trace_node_ = -1;
   std::int64_t trace_index_ = 0;
   State state_ = State::kOk;

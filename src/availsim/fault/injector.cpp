@@ -1,10 +1,8 @@
 #include "availsim/fault/injector.hpp"
 
 #include <algorithm>
-#include <array>
 #include <utility>
 
-#include "availsim/snapshot/state_io.hpp"
 #include "availsim/trace/trace.hpp"
 
 namespace availsim::fault {
@@ -76,152 +74,22 @@ void FaultInjector::arm_component(const FaultSpec& spec, int component,
   const sim::Time gap = sim::from_seconds(rng_.exponential(spec.mttf_seconds));
   const sim::Time at = sim_.now() + gap;
   if (at >= horizon) return;
-  PendingArrival arrival;
-  arrival.spec = spec;
-  arrival.component = component;
-  arrival.serialize = serialize;
-  arrival.horizon = horizon;
-  arrival.at = at;
-  schedule_arrival(std::move(arrival));
-}
-
-void FaultInjector::schedule_arrival(PendingArrival arrival) {
-  const FaultSpec spec = arrival.spec;
-  const int component = arrival.component;
-  const bool serialize = arrival.serialize;
-  const sim::Time horizon = arrival.horizon;
-  arrival.id =
-      sim_.schedule_at(arrival.at, [this, spec, component, serialize, horizon] {
-        take_pending(spec.type, component);
-        auto strike = [this, spec, component, serialize, horizon] {
-          fire(false, spec.type, component);
-          const sim::Time repair_at =
-              sim_.now() + sim::from_seconds(spec.mttr_seconds);
-          sim_.schedule_at(repair_at,
-                           [this, spec, component, serialize, horizon] {
-                             fire(true, spec.type, component);
-                             arm_component(spec, component, serialize, horizon);
-                           });
-        };
-        if (serialize && active_ > 0) {
-          deferred_.push_back(strike);
-        } else {
-          strike();
-        }
+  sim_.schedule_at(at, [this, spec, component, serialize, horizon] {
+    auto strike = [this, spec, component, serialize, horizon] {
+      fire(false, spec.type, component);
+      const sim::Time repair_at =
+          sim_.now() + sim::from_seconds(spec.mttr_seconds);
+      sim_.schedule_at(repair_at, [this, spec, component, serialize, horizon] {
+        fire(true, spec.type, component);
+        arm_component(spec, component, serialize, horizon);
       });
-  pending_.push_back(arrival);
-}
-
-void FaultInjector::take_pending(FaultType type, int component) {
-  // At most one pending arrival exists per (spec row, component); the first
-  // (type, component) match is the one whose onset is firing now.
-  for (auto it = pending_.begin(); it != pending_.end(); ++it) {
-    if (it->spec.type == type && it->component == component) {
-      pending_.erase(it);
-      return;
+    };
+    if (serialize && active_ > 0) {
+      deferred_.emplace_back(std::move(strike));
+    } else {
+      strike();
     }
-  }
-}
-
-sim::Time FaultInjector::next_pending_arrival() const {
-  sim::Time best = -1;
-  for (const PendingArrival& p : pending_) {
-    if (best < 0 || p.at < best) best = p.at;
-  }
-  return best;
-}
-
-void FaultInjector::rebranch(sim::Rng fresh_rng, sim::Time keep_at) {
-  rng_ = std::move(fresh_rng);
-  std::vector<PendingArrival> kept;
-  std::vector<PendingArrival> redraw;
-  for (PendingArrival& p : pending_) {
-    (p.at <= keep_at ? kept : redraw).push_back(std::move(p));
-  }
-  pending_ = std::move(kept);
-  for (PendingArrival& p : redraw) {
-    sim_.cancel(p.id);
-    const sim::Time gap =
-        sim::from_seconds(rng_.exponential(p.spec.mttf_seconds));
-    const sim::Time at = sim_.now() + gap;
-    if (at >= p.horizon) continue;
-    p.at = at;
-    p.id = sim::kInvalidEvent;
-    schedule_arrival(std::move(p));
-  }
-}
-
-void FaultInjector::save_state(snapshot::StateWriter& w) const {
-  w.section("injector");
-  w.u64(log_.size());
-  for (const Event& e : log_) {
-    w.i64(e.at);
-    w.boolean(e.is_repair);
-    w.u8(static_cast<std::uint8_t>(e.type));
-    w.i64(e.component);
-  }
-  w.i64(active_);
-  w.u64(active_set_.size());
-  for (const auto& [type, component] : active_set_) {
-    w.u8(static_cast<std::uint8_t>(type));
-    w.i64(component);
-  }
-  w.u64(deferred_.size());
-  for (const std::function<void()>& fn : deferred_) w.box(fn);
-  w.u64(pending_.size());
-  for (const PendingArrival& p : pending_) {
-    w.u8(static_cast<std::uint8_t>(p.spec.type));
-    w.f64(p.spec.mttf_seconds);
-    w.f64(p.spec.mttr_seconds);
-    w.i64(p.spec.component_count);
-    w.i64(p.component);
-    w.boolean(p.serialize);
-    w.i64(p.horizon);
-    w.i64(p.at);
-    w.u64(p.id);
-  }
-  for (std::uint64_t word : rng_.state()) w.u64(word);
-  w.u64(rng_.stream_seed());
-}
-
-void FaultInjector::restore_state(snapshot::StateReader& r) {
-  r.section("injector");
-  log_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    Event e{};
-    e.at = r.i64();
-    e.is_repair = r.boolean();
-    e.type = static_cast<FaultType>(r.u8());
-    e.component = static_cast<int>(r.i64());
-    log_.push_back(e);
-  }
-  active_ = static_cast<int>(r.i64());
-  active_set_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const auto type = static_cast<FaultType>(r.u8());
-    active_set_.emplace_back(type, static_cast<int>(r.i64()));
-  }
-  deferred_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    deferred_.push_back(r.unbox<std::function<void()>>());
-  }
-  pending_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    PendingArrival p;
-    p.spec.type = static_cast<FaultType>(r.u8());
-    p.spec.mttf_seconds = r.f64();
-    p.spec.mttr_seconds = r.f64();
-    p.spec.component_count = static_cast<int>(r.i64());
-    p.component = static_cast<int>(r.i64());
-    p.serialize = r.boolean();
-    p.horizon = r.i64();
-    p.at = r.i64();
-    p.id = r.u64();
-    pending_.push_back(p);
-  }
-  std::array<std::uint64_t, 4> s{};
-  for (std::uint64_t& word : s) word = r.u64();
-  rng_.restore_state(s, r.u64());
+  });
 }
 
 void FaultInjector::run_correlated_load(const std::vector<FaultSpec>& specs,

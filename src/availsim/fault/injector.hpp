@@ -8,11 +8,6 @@
 #include "availsim/sim/rng.hpp"
 #include "availsim/sim/simulator.hpp"
 
-namespace availsim::snapshot {
-class StateReader;
-class StateWriter;
-}  // namespace availsim::snapshot
-
 namespace availsim::fault {
 
 /// Interface the testbed exposes to the injector. The harness's Testbed
@@ -84,44 +79,12 @@ class FaultInjector {
 
   /// Observer fired on every injection/repair (markers for the stage
   /// extractor).
-  std::function<void(const Event&)> on_event;  // availlint: snap-skip(wiring hook, re-established at construction)
-
-  /// Earliest pending stochastic fault *onset* (an expected-load arrival
-  /// that has been drawn but not yet struck), or -1 when none is pending.
-  /// Splitting campaigns snapshot just before this instant.
-  sim::Time next_pending_arrival() const;
-
-  /// Importance-splitting branch point: replaces the injector's RNG with a
-  /// fresh substream and redraws every pending arrival strictly after
-  /// `keep_at` from the current instant (exponential inter-arrivals are
-  /// memoryless, so redrawing the residual from now is exact). Arrivals at
-  /// or before `keep_at` — in particular the imminent onset the branch
-  /// point was chosen for — keep their original schedule, which keeps the
-  /// per-branch fault count distribution unbiased: every branch sees the
-  /// level's fault, then diverges in what follows.
-  void rebranch(sim::Rng fresh_rng, sim::Time keep_at);
-
-  /// --- snapshot support (log, active set, deferred strikes, pending
-  /// arrivals, RNG; the target wiring and on_event hook stay untouched) ---
-  void save_state(snapshot::StateWriter& writer) const;
-  void restore_state(snapshot::StateReader& reader);
+  std::function<void(const Event&)> on_event;
 
  private:
-  // One drawn-but-not-yet-struck expected-load arrival.
-  struct PendingArrival {
-    FaultSpec spec;
-    int component = 0;
-    bool serialize = false;
-    sim::Time horizon = 0;
-    sim::Time at = 0;
-    sim::EventId id = sim::kInvalidEvent;
-  };
-
   void fire(bool is_repair, FaultType type, int component);
   void arm_component(const FaultSpec& spec, int component, bool serialize,
                      sim::Time horizon);
-  void schedule_arrival(PendingArrival arrival);
-  void take_pending(FaultType type, int component);
   void arm_burst(const std::vector<FaultSpec>& specs,
                  CorrelatedLoadOptions options, sim::Time horizon);
 
@@ -135,9 +98,7 @@ class FaultInjector {
   // repair (or double injection) of the same component.
   std::vector<std::pair<FaultType, int>> active_set_;
   // Deferred stochastic faults waiting for the active one to clear.
-  std::vector<std::function<void()>> deferred_;
-  // Pending expected-load arrivals, in arm order.
-  std::vector<PendingArrival> pending_;
+  std::vector<sim::EventFn> deferred_;
 };
 
 }  // namespace availsim::fault

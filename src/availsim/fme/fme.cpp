@@ -1,9 +1,7 @@
 #include "availsim/fme/fme.hpp"
 
-#include <array>
 #include <utility>
 
-#include "availsim/snapshot/state_io.hpp"
 #include "availsim/trace/trace.hpp"
 #include "availsim/workload/http.hpp"
 
@@ -126,39 +124,6 @@ void FmeDaemon::on_probe_result(bool ok) {
               host_.id());
   if (on_marker) on_marker("fme_restart", host_.id());
   if (restart_application) restart_application();
-}
-
-void FmeDaemon::save_state(snapshot::StateWriter& w) const {
-  w.section("fme:" + host_.name());
-  w.boolean(running_);
-  w.u64(epoch_);
-  w.u64(next_probe_id_);
-  w.u64(awaiting_probe_);
-  w.i64(consecutive_failures_);
-  w.i64(last_restart_);
-  w.u64(stats_.probes);
-  w.u64(stats_.probe_failures);
-  w.u64(stats_.offline_actions);
-  w.u64(stats_.restart_actions);
-  for (std::uint64_t word : rng_.state()) w.u64(word);
-  w.u64(rng_.stream_seed());
-}
-
-void FmeDaemon::restore_state(snapshot::StateReader& r) {
-  r.section("fme:" + host_.name());
-  running_ = r.boolean();
-  epoch_ = r.u64();
-  next_probe_id_ = r.u64();
-  awaiting_probe_ = r.u64();
-  consecutive_failures_ = static_cast<int>(r.i64());
-  last_restart_ = r.i64();
-  stats_.probes = r.u64();
-  stats_.probe_failures = r.u64();
-  stats_.offline_actions = r.u64();
-  stats_.restart_actions = r.u64();
-  std::array<std::uint64_t, 4> s{};
-  for (std::uint64_t& word : s) word = r.u64();
-  rng_.restore_state(s, r.u64());
 }
 
 }  // namespace availsim::fme

@@ -9,11 +9,6 @@
 #include "availsim/sim/rng.hpp"
 #include "availsim/workload/fileset.hpp"
 
-namespace availsim::snapshot {
-class StateReader;
-class StateWriter;
-}  // namespace availsim::snapshot
-
 namespace availsim::fme {
 
 struct FmeParams {
@@ -57,16 +52,11 @@ class FmeDaemon {
 
   /// Enforcement actions, wired to the testbed: power the node down /
   /// kill-and-restart the server process.
-  // availlint: snap-skip(wiring hooks, re-established at construction)
   std::function<void()> take_node_offline;
-  std::function<void()> restart_application;  // availlint: snap-skip(wiring hook, re-established at construction)
+  std::function<void()> restart_application;
 
   const Stats& stats() const { return stats_; }
-  std::function<void(const char* marker, net::NodeId about)> on_marker;  // availlint: snap-skip(wiring hook, re-established at construction)
-
-  /// --- snapshot support ---
-  void save_state(snapshot::StateWriter& writer) const;
-  void restore_state(snapshot::StateReader& reader);
+  std::function<void(const char* marker, net::NodeId about)> on_marker;
 
  private:
   bool host_ok() const { return host_.state() == net::Host::State::kUp; }
@@ -79,9 +69,9 @@ class FmeDaemon {
   net::Network& net_;
   net::Host& host_;
   sim::Rng rng_;
-  FmeParams p_;  // availlint: snap-skip(construction-time config, never mutated)
-  std::vector<disk::Disk*> disks_;  // availlint: snap-skip(wiring; disks snapshot themselves via the testbed)
-  workload::FileId probe_file_;  // availlint: snap-skip(picked from the file catalog at construction, never mutated)
+  FmeParams p_;
+  std::vector<disk::Disk*> disks_;
+  workload::FileId probe_file_;
   bool running_ = false;
   std::uint64_t epoch_ = 0;
   std::uint64_t next_probe_id_ = 1;

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "availsim/snapshot/state_io.hpp"
-
 namespace availsim::fme {
 
 SfmeMonitor::SfmeMonitor(sim::Simulator& simulator, SfmeParams params)
@@ -62,26 +60,6 @@ void SfmeMonitor::run_cycle() {
     if (on_marker) on_marker("sfme_offline", n.id);
     if (take_node_offline) take_node_offline(n.id);
   }
-}
-
-void SfmeMonitor::save_state(snapshot::StateWriter& w) const {
-  w.section("sfme");
-  w.boolean(running_);
-  w.u64(epoch_);
-  w.u64(isolation_count_.size());
-  for (int c : isolation_count_) w.i64(c);
-  w.u64(offline_actions_);
-}
-
-void SfmeMonitor::restore_state(snapshot::StateReader& r) {
-  r.section("sfme");
-  running_ = r.boolean();
-  epoch_ = r.u64();
-  isolation_count_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    isolation_count_.push_back(static_cast<int>(r.i64()));
-  }
-  offline_actions_ = r.u64();
 }
 
 }  // namespace availsim::fme

@@ -7,11 +7,6 @@
 #include "availsim/net/network.hpp"
 #include "availsim/sim/time.hpp"
 
-namespace availsim::snapshot {
-class StateReader;
-class StateWriter;
-}  // namespace availsim::snapshot
-
 namespace availsim::fme {
 
 struct SfmeParams {
@@ -40,28 +35,23 @@ class SfmeMonitor {
   void set_nodes(std::vector<NodeInfo> nodes);
 
   /// Enforcement action, wired to the testbed (takes the node down).
-  std::function<void(net::NodeId)> take_node_offline;  // availlint: snap-skip(wiring hook, re-established at construction)
-  std::function<void(const char* marker, net::NodeId about)> on_marker;  // availlint: snap-skip(wiring hook, re-established at construction)
+  std::function<void(net::NodeId)> take_node_offline;
+  std::function<void(const char* marker, net::NodeId about)> on_marker;
 
   void start();
   void stop();
 
   std::uint64_t offline_actions() const { return offline_actions_; }
 
-  /// --- snapshot support (node wiring set by set_nodes is construction-
-  /// time; only counters and the running flag are state) ---
-  void save_state(snapshot::StateWriter& writer) const;
-  void restore_state(snapshot::StateReader& reader);
-
  private:
   void arm();
   void run_cycle();
 
   sim::Simulator& sim_;
-  SfmeParams p_;  // availlint: snap-skip(construction-time config, never mutated)
+  SfmeParams p_;
   bool running_ = false;
   std::uint64_t epoch_ = 0;
-  std::vector<NodeInfo> nodes_;  // availlint: snap-skip(boot-time node wiring table, never mutated)
+  std::vector<NodeInfo> nodes_;
   std::vector<int> isolation_count_;
   std::uint64_t offline_actions_ = 0;
 };

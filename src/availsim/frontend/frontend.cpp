@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "availsim/snapshot/state_io.hpp"
 #include "availsim/workload/http.hpp"
 
 namespace availsim::frontend {
@@ -75,36 +74,6 @@ void Frontend::on_request(const net::Packet& packet) {
     net_.send(id(), target, net::ports::kPressHttp, bytes, body,
               std::move(options));
   });
-}
-
-void Frontend::save_state(snapshot::StateWriter& w) const {
-  w.section("frontend");
-  w.boolean(running_);
-  w.u64(backends_.size());
-  for (net::NodeId n : backends_) w.i64(n);
-  w.u64(alive_.size());
-  for (net::NodeId n : snapshot::sorted_values(alive_)) w.i64(n);
-  w.u64(rr_);
-  w.i64(cpu_free_);
-  w.u64(forwarded_);
-  w.u64(dropped_);
-}
-
-void Frontend::restore_state(snapshot::StateReader& r) {
-  r.section("frontend");
-  running_ = r.boolean();
-  backends_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    backends_.push_back(static_cast<net::NodeId>(r.i64()));
-  }
-  alive_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    alive_.insert(static_cast<net::NodeId>(r.i64()));
-  }
-  rr_ = r.u64();
-  cpu_free_ = r.i64();
-  forwarded_ = r.u64();
-  dropped_ = r.u64();
 }
 
 }  // namespace availsim::frontend

@@ -7,11 +7,6 @@
 #include "availsim/net/network.hpp"
 #include "availsim/sim/time.hpp"
 
-namespace availsim::snapshot {
-class StateReader;
-class StateWriter;
-}  // namespace availsim::snapshot
-
 namespace availsim::frontend {
 
 struct FrontendParams {
@@ -46,17 +41,13 @@ class Frontend {
   std::uint64_t forwarded() const { return forwarded_; }
   std::uint64_t dropped() const { return dropped_; }
 
-  /// --- snapshot support ---
-  void save_state(snapshot::StateWriter& writer) const;
-  void restore_state(snapshot::StateReader& reader);
-
  private:
   void on_request(const net::Packet& packet);
 
   sim::Simulator& sim_;
   net::Network& net_;
   net::Host& host_;
-  FrontendParams p_;  // availlint: snap-skip(construction-time config, never mutated)
+  FrontendParams p_;
   bool running_ = false;
   std::vector<net::NodeId> backends_;
   std::unordered_set<net::NodeId> alive_;

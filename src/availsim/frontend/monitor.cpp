@@ -1,9 +1,7 @@
 #include "availsim/frontend/monitor.hpp"
 
-#include <array>
 #include <utility>
 
-#include "availsim/snapshot/state_io.hpp"
 #include "availsim/trace/trace.hpp"
 
 namespace availsim::frontend {
@@ -118,43 +116,6 @@ void Monitor::record(net::NodeId target, bool ok) {
                 target);
     if (on_status) on_status(target, false);
   }
-}
-
-void Monitor::save_state(snapshot::StateWriter& w) const {
-  w.section("monitor");
-  w.boolean(running_);
-  w.u64(epoch_);
-  w.u64(targets_.size());
-  for (net::NodeId n : targets_) w.i64(n);
-  w.u64(state_.size());
-  for (net::NodeId n : snapshot::sorted_keys(state_)) {
-    const State& s = state_.at(n);
-    w.i64(n);
-    w.i64(s.misses);
-    w.boolean(s.up);
-  }
-  for (std::uint64_t word : rng_.state()) w.u64(word);
-  w.u64(rng_.stream_seed());
-}
-
-void Monitor::restore_state(snapshot::StateReader& r) {
-  r.section("monitor");
-  running_ = r.boolean();
-  epoch_ = r.u64();
-  targets_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    targets_.push_back(static_cast<net::NodeId>(r.i64()));
-  }
-  state_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const auto node = static_cast<net::NodeId>(r.i64());
-    State& s = state_[node];
-    s.misses = static_cast<int>(r.i64());
-    s.up = r.boolean();
-  }
-  std::array<std::uint64_t, 4> s{};
-  for (std::uint64_t& word : s) word = r.u64();
-  rng_.restore_state(s, r.u64());
 }
 
 }  // namespace availsim::frontend

@@ -7,11 +7,6 @@
 #include "availsim/net/network.hpp"
 #include "availsim/sim/rng.hpp"
 
-namespace availsim::snapshot {
-class StateReader;
-class StateWriter;
-}  // namespace availsim::snapshot
-
 namespace availsim::frontend {
 
 struct MonitorParams {
@@ -52,17 +47,13 @@ class Monitor {
   void set_targets(std::vector<net::NodeId> targets);
 
   /// Status-change trigger (wired to Frontend::set_backend_alive).
-  std::function<void(net::NodeId node, bool up)> on_status;  // availlint: snap-skip(wiring hook, re-established at construction)
+  std::function<void(net::NodeId node, bool up)> on_status;
 
   void start();
   void on_host_crashed();
   void on_host_rebooted();
 
   bool is_up(net::NodeId node) const;
-
-  /// --- snapshot support ---
-  void save_state(snapshot::StateWriter& writer) const;
-  void restore_state(snapshot::StateReader& reader);
 
  private:
   struct State {
@@ -81,7 +72,7 @@ class Monitor {
   net::Network& net_;
   net::Host& host_;
   sim::Rng rng_;
-  MonitorParams p_;  // availlint: snap-skip(construction-time config, never mutated)
+  MonitorParams p_;
   bool running_ = false;
   std::uint64_t epoch_ = 0;
   std::vector<net::NodeId> targets_;

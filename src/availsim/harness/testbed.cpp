@@ -2,7 +2,6 @@
 
 #include "availsim/workload/zipf.hpp"
 
-#include <array>
 #include <cassert>
 #include <cstdlib>
 #include <filesystem>
@@ -10,7 +9,6 @@
 #include <utility>
 
 #include "availsim/sim/flat.hpp"
-#include "availsim/snapshot/state_io.hpp"
 
 namespace availsim::harness {
 
@@ -645,135 +643,6 @@ void Testbed::operator_reset() {
 
 void Testbed::note(std::string what, net::NodeId node) {
   log_.push_back(LogEvent{sim_.now(), std::move(what), node});
-}
-
-// ---------------------------------------------------------------------------
-// Snapshot support
-// ---------------------------------------------------------------------------
-
-void Testbed::save_state(snapshot::StateWriter& w) const {
-  w.section("testbed");
-  w.boolean(tracer_ != nullptr);
-  if (tracer_) tracer_->save_state(w);
-  w.boolean(auditor_ != nullptr);
-  if (auditor_) auditor_->save_state(w);
-  cluster_net_->save_state(w);
-  client_net_->save_state(w);
-  w.u64(servers_.size());
-  for (const Server& sv : servers_) {
-    sv.host->save_state(w);
-    w.u64(sv.disks.size());
-    for (const auto& d : sv.disks) d->save_state(w);
-    sv.press->save_state(w);
-    w.boolean(sv.board != nullptr);
-    if (sv.board) {
-      w.u64(sv.board->version());
-      w.u64(sv.board->members().size());
-      for (net::NodeId n : sv.board->members()) w.i64(n);
-    }
-    w.boolean(sv.member != nullptr);
-    if (sv.member) sv.member->save_state(w);
-    w.boolean(sv.mclient != nullptr);
-    if (sv.mclient) sv.mclient->save_state(w);
-    w.boolean(sv.fme != nullptr);
-    if (sv.fme) sv.fme->save_state(w);
-    w.boolean(sv.offline_by_enforcement);
-  }
-  w.boolean(fe_host_ != nullptr);
-  if (fe_host_) fe_host_->save_state(w);
-  w.boolean(frontend_ != nullptr);
-  if (frontend_) frontend_->save_state(w);
-  w.boolean(monitor_ != nullptr);
-  if (monitor_) monitor_->save_state(w);
-  w.boolean(sfme_ != nullptr);
-  if (sfme_) sfme_->save_state(w);
-  w.u64(client_hosts_.size());
-  for (const auto& h : client_hosts_) h->save_state(w);
-  w.u64(clients_.size());
-  for (const auto& c : clients_) c->save_state(w);
-  recorder_->save_state(w);
-  w.section("testbed-own");
-  w.u64(log_.size());
-  for (const LogEvent& e : log_) {
-    w.i64(e.at);
-    w.str(e.what);
-    w.i64(e.node);
-  }
-  w.u64(active_faults_.size());
-  for (const auto& [type, component] : active_faults_) {
-    w.u8(static_cast<std::uint8_t>(type));
-    w.i64(component);
-  }
-  w.i64(active_fault_count_);
-  w.i64(suboptimal_since_);
-  for (std::uint64_t word : rng_.state()) w.u64(word);
-  w.u64(rng_.stream_seed());
-}
-
-void Testbed::restore_state(snapshot::StateReader& r) {
-  r.section("testbed");
-  if (r.boolean()) tracer_->restore_state(r);
-  if (r.boolean()) auditor_->restore_state(r);
-  cluster_net_->restore_state(r);
-  client_net_->restore_state(r);
-  const std::uint64_t server_count = r.u64();
-  assert(server_count == servers_.size());
-  for (std::uint64_t i = 0; i < server_count; ++i) {
-    Server& sv = servers_[i];
-    sv.host->restore_state(r);
-    const std::uint64_t disk_count = r.u64();
-    assert(disk_count == sv.disks.size());
-    for (std::uint64_t d = 0; d < disk_count; ++d) {
-      sv.disks[d]->restore_state(r);
-    }
-    sv.press->restore_state(r);
-    if (r.boolean()) {
-      const std::uint64_t version = r.u64();
-      std::vector<net::NodeId> members;
-      for (std::uint64_t j = 0, n = r.u64(); j < n; ++j) {
-        members.push_back(static_cast<net::NodeId>(r.i64()));
-      }
-      sv.board->restore(version, std::move(members));
-    }
-    if (r.boolean()) sv.member->restore_state(r);
-    if (r.boolean()) sv.mclient->restore_state(r);
-    if (r.boolean()) sv.fme->restore_state(r);
-    sv.offline_by_enforcement = r.boolean();
-  }
-  if (r.boolean()) fe_host_->restore_state(r);
-  if (r.boolean()) frontend_->restore_state(r);
-  if (r.boolean()) monitor_->restore_state(r);
-  if (r.boolean()) sfme_->restore_state(r);
-  const std::uint64_t host_count = r.u64();
-  assert(host_count == client_hosts_.size());
-  for (std::uint64_t i = 0; i < host_count; ++i) {
-    client_hosts_[i]->restore_state(r);
-  }
-  const std::uint64_t client_count = r.u64();
-  assert(client_count == clients_.size());
-  for (std::uint64_t i = 0; i < client_count; ++i) {
-    clients_[i]->restore_state(r);
-  }
-  recorder_->restore_state(r);
-  r.section("testbed-own");
-  log_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    LogEvent e;
-    e.at = r.i64();
-    e.what = r.str();
-    e.node = static_cast<net::NodeId>(r.i64());
-    log_.push_back(std::move(e));
-  }
-  active_faults_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const auto type = static_cast<fault::FaultType>(r.u8());
-    active_faults_.emplace_back(type, static_cast<int>(r.i64()));
-  }
-  active_fault_count_ = static_cast<int>(r.i64());
-  suboptimal_since_ = r.i64();
-  std::array<std::uint64_t, 4> s{};
-  for (std::uint64_t& word : s) word = r.u64();
-  rng_.restore_state(s, r.u64());
 }
 
 }  // namespace harness

@@ -18,11 +18,6 @@
 #include "availsim/workload/client.hpp"
 #include "availsim/workload/recorder.hpp"
 
-namespace availsim::snapshot {
-class StateReader;
-class StateWriter;
-}  // namespace availsim::snapshot
-
 namespace availsim::harness {
 
 /// The server versions evaluated in the paper.
@@ -148,14 +143,6 @@ class Testbed : public fault::FaultTarget {
   void note(std::string what, net::NodeId node = net::kNoNode);
   int active_faults() const { return active_fault_count_; }
 
-  /// --- snapshot support ---
-  /// Serializes every subsystem in a fixed order (tracer, auditor, nets,
-  /// per-server components, FE stack, clients, recorder, own state). Call
-  /// Simulator::save_state separately first; an external FaultInjector is
-  /// saved after the testbed, in the same fixed order on both sides.
-  void save_state(snapshot::StateWriter& writer) const;
-  void restore_state(snapshot::StateReader& reader);
-
  private:
   struct Server {
     std::unique_ptr<net::Host> host;
@@ -185,12 +172,12 @@ class Testbed : public fault::FaultTarget {
   void arm_audit_tick();
 
   sim::Simulator& sim_;
-  TestbedOptions opts_;  // availlint: snap-skip(experiment options fixed before the run starts)
+  TestbedOptions opts_;
   sim::Rng rng_;
 
   std::unique_ptr<trace::Tracer> tracer_;
   std::unique_ptr<trace::Auditor> auditor_;
-  std::string trace_export_dir_;  // availlint: snap-skip(harness output path, not simulated state)
+  std::string trace_export_dir_;
 
   std::unique_ptr<net::Network> cluster_net_;
   std::unique_ptr<net::Network> client_net_;
@@ -201,7 +188,7 @@ class Testbed : public fault::FaultTarget {
   std::unique_ptr<fme::SfmeMonitor> sfme_;
   std::vector<std::unique_ptr<net::Host>> client_hosts_;
   std::vector<std::unique_ptr<workload::Client>> clients_;
-  std::unique_ptr<workload::Popularity> popularity_;  // availlint: snap-skip(immutable popularity model built at construction)
+  std::unique_ptr<workload::Popularity> popularity_;
   std::unique_ptr<workload::Recorder> recorder_;
 
   std::vector<LogEvent> log_;

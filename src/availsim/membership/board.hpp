@@ -29,14 +29,6 @@ class MembershipBoard {
     ++version_;
   }
 
-  /// Snapshot support: reinstalls an exact (version, members) pair. The
-  /// testbed serializes boards directly through the accessors, so the board
-  /// itself needs no snapshot dependency.
-  void restore(std::uint64_t version, std::vector<net::NodeId> members) {
-    version_ = version;
-    members_ = std::move(members);
-  }
-
  private:
   std::uint64_t version_ = 0;
   std::vector<net::NodeId> members_;

@@ -1,7 +1,5 @@
 #include "availsim/membership/client_lib.hpp"
 
-#include "availsim/snapshot/state_io.hpp"
-
 namespace availsim::membership {
 
 MembershipClient::MembershipClient(sim::Simulator& simulator,
@@ -48,26 +46,6 @@ void MembershipClient::poll() {
 
 void MembershipClient::node_down(net::NodeId node) {
   if (report_down) report_down(node);
-}
-
-void MembershipClient::save_state(snapshot::StateWriter& w) const {
-  w.section("mclient");
-  w.boolean(running_);
-  w.u64(epoch_);
-  w.u64(seen_version_);
-  w.u64(seen_members_.size());
-  for (net::NodeId n : seen_members_) w.i64(n);
-}
-
-void MembershipClient::restore_state(snapshot::StateReader& r) {
-  r.section("mclient");
-  running_ = r.boolean();
-  epoch_ = r.u64();
-  seen_version_ = r.u64();
-  seen_members_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    seen_members_.insert(static_cast<net::NodeId>(r.i64()));
-  }
 }
 
 }  // namespace availsim::membership

@@ -6,11 +6,6 @@
 #include "availsim/membership/board.hpp"
 #include "availsim/sim/simulator.hpp"
 
-namespace availsim::snapshot {
-class StateReader;
-class StateWriter;
-}  // namespace availsim::snapshot
-
 namespace availsim::membership {
 
 /// Client library linked into the application (paper §4.2): spawns a
@@ -24,10 +19,10 @@ class MembershipClient {
                    sim::Time poll_period = sim::kSecond);
 
   /// Application callbacks.
-  std::function<void(net::NodeId)> on_node_in;  // availlint: snap-skip(wiring hook, re-established at construction)
-  std::function<void(net::NodeId)> on_node_out;  // availlint: snap-skip(wiring hook, re-established at construction)
+  std::function<void(net::NodeId)> on_node_in;
+  std::function<void(net::NodeId)> on_node_out;
   /// Wired to the local daemon's node_down_report().
-  std::function<void(net::NodeId)> report_down;  // availlint: snap-skip(wiring hook, re-established at construction)
+  std::function<void(net::NodeId)> report_down;
 
   /// Starts the polling thread (call when the application starts). The
   /// first poll reports every current member via NodeIn.
@@ -40,17 +35,13 @@ class MembershipClient {
 
   bool running() const { return running_; }
 
-  /// --- snapshot support ---
-  void save_state(snapshot::StateWriter& writer) const;
-  void restore_state(snapshot::StateReader& reader);
-
  private:
   void poll();
   void arm();
 
   sim::Simulator& sim_;
   const MembershipBoard& board_;
-  sim::Time poll_period_;  // availlint: snap-skip(construction-time polling config)
+  sim::Time poll_period_;
   bool running_ = false;
   std::uint64_t epoch_ = 0;
   std::uint64_t seen_version_ = 0;

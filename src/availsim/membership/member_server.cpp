@@ -1,10 +1,8 @@
 #include "availsim/membership/member_server.hpp"
 
 #include <algorithm>
-#include <array>
 #include <utility>
 
-#include "availsim/snapshot/state_io.hpp"
 #include "availsim/trace/trace.hpp"
 
 namespace availsim::membership {
@@ -457,96 +455,6 @@ void MemberServer::node_down_report(net::NodeId node) {
   trace::emit(sim_, Category::kMembership, Kind::kMemDownReport, id(), node);
   mark("node_down_report", node);
   coordinate_change(/*add=*/false, node, {});
-}
-
-// ---------------------------------------------------------------------------
-// Snapshot support
-// ---------------------------------------------------------------------------
-
-void MemberServer::save_state(snapshot::StateWriter& w) const {
-  w.section("member:" + host_.name());
-  w.boolean(running_);
-  w.u64(epoch_);
-  w.u64(view_.size());
-  for (net::NodeId n : view_) w.i64(n);
-  w.u64(view_version_);
-  w.u64(last_seen_.size());
-  for (const auto& [n, at] : last_seen_) {  // flat map: ascending node ids
-    w.i64(n);
-    w.i64(at);
-  }
-  w.u64(hb_ewma_.size());
-  for (const auto& [n, ewma] : hb_ewma_) {
-    w.i64(n);
-    w.i64(ewma);
-  }
-  w.boolean(joined_);
-  w.u64(proposals_.size());
-  for (std::uint64_t cid : snapshot::sorted_keys(proposals_)) {
-    const Proposal& p = proposals_.at(cid);
-    w.u64(cid);
-    w.boolean(p.change.add);
-    w.i64(p.change.subject);
-    w.i64(p.change.proposer);
-    w.u64(p.change.change_id);
-    w.u64(p.change.extra.size());
-    for (net::NodeId n : p.change.extra) w.i64(n);
-    w.u64(p.acks.size());
-    for (net::NodeId n : p.acks) w.i64(n);
-    w.boolean(p.done);
-  }
-  w.u64(next_change_);
-  w.u64(removing_.size());
-  for (net::NodeId n : removing_) w.i64(n);
-  for (std::uint64_t word : rng_.state()) w.u64(word);
-  w.u64(rng_.stream_seed());
-}
-
-void MemberServer::restore_state(snapshot::StateReader& r) {
-  r.section("member:" + host_.name());
-  running_ = r.boolean();
-  epoch_ = r.u64();
-  view_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    view_.insert(static_cast<net::NodeId>(r.i64()));
-  }
-  view_version_ = r.u64();
-  last_seen_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const auto node = static_cast<net::NodeId>(r.i64());
-    last_seen_[node] = r.i64();
-  }
-  hb_ewma_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const auto node = static_cast<net::NodeId>(r.i64());
-    hb_ewma_[node] = r.i64();
-  }
-  joined_ = r.boolean();
-  proposals_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const std::uint64_t cid = r.u64();
-    Proposal p;
-    p.change.add = r.boolean();
-    p.change.subject = static_cast<net::NodeId>(r.i64());
-    p.change.proposer = static_cast<net::NodeId>(r.i64());
-    p.change.change_id = r.u64();
-    for (std::uint64_t j = 0, m = r.u64(); j < m; ++j) {
-      p.change.extra.push_back(static_cast<net::NodeId>(r.i64()));
-    }
-    for (std::uint64_t j = 0, m = r.u64(); j < m; ++j) {
-      p.acks.insert(static_cast<net::NodeId>(r.i64()));
-    }
-    p.done = r.boolean();
-    proposals_.emplace(cid, std::move(p));
-  }
-  next_change_ = r.u64();
-  removing_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    removing_.insert(static_cast<net::NodeId>(r.i64()));
-  }
-  std::array<std::uint64_t, 4> s{};
-  for (std::uint64_t& word : s) word = r.u64();
-  rng_.restore_state(s, r.u64());
 }
 
 }  // namespace availsim::membership

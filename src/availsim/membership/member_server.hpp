@@ -12,11 +12,6 @@
 #include "availsim/sim/flat.hpp"
 #include "availsim/sim/rng.hpp"
 
-namespace availsim::snapshot {
-class StateReader;
-class StateWriter;
-}  // namespace availsim::snapshot
-
 namespace availsim::membership {
 
 struct MemberServerParams {
@@ -78,12 +73,7 @@ class MemberServer {
   const std::set<net::NodeId>& view() const { return view_; }
   bool running() const { return running_; }
 
-  std::function<void(const char* marker, net::NodeId about)> on_marker;  // availlint: snap-skip(wiring hook, re-established at construction)
-
-  /// --- snapshot support (ring/view/2PC state; the shared board is
-  /// serialized by the testbed, which owns it) ---
-  void save_state(snapshot::StateWriter& writer) const;
-  void restore_state(snapshot::StateReader& reader);
+  std::function<void(const char* marker, net::NodeId about)> on_marker;
 
  private:
   bool host_ok() const { return host_.state() == net::Host::State::kUp; }
@@ -119,7 +109,7 @@ class MemberServer {
   net::Network& net_;
   net::Host& host_;
   sim::Rng rng_;
-  MemberServerParams p_;  // availlint: snap-skip(construction-time config, never mutated)
+  MemberServerParams p_;
   MembershipBoard& board_;
 
   bool running_ = false;

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "availsim/snapshot/state_io.hpp"
-
 namespace availsim::net {
 
 namespace {
@@ -71,45 +69,6 @@ std::vector<FlowTable::PendingSend> FlowTable::take_parked_to(NodeId dst) {
   }
   sort_by_park_order(out);
   return out;
-}
-
-void FlowTable::save_state(snapshot::StateWriter& w) const {
-  w.section("flows");
-  w.u64(last_delivery_.size());
-  for (const auto& [k, t] : last_delivery_) {  // flat map: ascending keys
-    w.u64(k);
-    w.i64(t);
-  }
-  w.u64(parked_.size());
-  for (const auto& [k, sends] : parked_) {
-    w.u64(k);
-    w.u64(sends.size());
-    // Parked sends carry live packets; they ride the boxed side channel
-    // whole (PendingSend is copyable). Their refusal callbacks stay in the
-    // Network's table, which the Network saves itself.
-    for (const PendingSend& p : sends) w.box(p);
-  }
-  w.u64(next_park_seq_);
-}
-
-void FlowTable::restore_state(snapshot::StateReader& r) {
-  r.section("flows");
-  last_delivery_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const std::uint64_t k = r.u64();
-    last_delivery_[k] = r.i64();
-  }
-  parked_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const std::uint64_t k = r.u64();
-    std::vector<PendingSend>& sends = parked_[k];
-    const std::uint64_t count = r.u64();
-    sends.reserve(count);
-    for (std::uint64_t j = 0; j < count; ++j) {
-      sends.push_back(r.unbox<PendingSend>());
-    }
-  }
-  next_park_seq_ = r.u64();
 }
 
 std::size_t FlowTable::parked_count() const {

@@ -7,11 +7,6 @@
 #include "availsim/sim/flat.hpp"
 #include "availsim/sim/time.hpp"
 
-namespace availsim::snapshot {
-class StateReader;
-class StateWriter;
-}  // namespace availsim::snapshot
-
 namespace availsim::net {
 
 /// Index of a reliable send's refusal callback in its Network's table;
@@ -59,10 +54,6 @@ class FlowTable {
   std::vector<PendingSend> take_parked_to(NodeId dst);
 
   std::size_t parked_count() const;
-
-  /// --- snapshot support ---
-  void save_state(snapshot::StateWriter& writer) const;
-  void restore_state(snapshot::StateReader& reader);
 
  private:
   static std::uint64_t key(NodeId src, NodeId dst) {

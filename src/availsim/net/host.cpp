@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "availsim/snapshot/state_io.hpp"
-
 namespace availsim::net {
 
 Host::Host(sim::Simulator& simulator, NodeId id, std::string name)
@@ -43,10 +41,7 @@ void Host::unfreeze() {
   if (state_ != State::kFrozen) return;
   state_ = State::kUp;
   // Flush parked packets in arrival order. Handlers run from a fresh event
-  // so that a handler freezing the host again re-parks the remainder. The
-  // backlog is captured by value (not behind a shared_ptr): the closure
-  // fires exactly once, and by-value capture keeps it snapshot-clonable
-  // without the clone aliasing the original's backlog.
+  // so that a handler freezing the host again re-parks the remainder.
   std::deque<Packet> taken = std::move(parked_);
   parked_.clear();
   sim_.schedule_after(0, [this, backlog = std::move(taken)]() mutable {
@@ -75,37 +70,6 @@ void Host::reboot() {
 
 void Host::drop_parked_for_port(int port) {
   std::erase_if(parked_, [port](const Packet& p) { return p.port == port; });
-}
-
-void Host::save_state(snapshot::StateWriter& w) const {
-  w.section("host:" + name_);
-  w.u8(static_cast<std::uint8_t>(state_));
-  w.f64(slow_factor_);
-  // Port handlers are closures over the owning process; box them. The
-  // bindings change at runtime (process crash/restart), so they are state,
-  // not wiring.
-  w.u64(ports_.size());
-  for (int port : snapshot::sorted_keys(ports_)) {
-    w.i64(port);
-    w.box(ports_.at(port));
-  }
-  w.u64(parked_.size());
-  for (const Packet& p : parked_) w.box(p);
-}
-
-void Host::restore_state(snapshot::StateReader& r) {
-  r.section("host:" + name_);
-  state_ = static_cast<State>(r.u8());
-  slow_factor_ = r.f64();
-  ports_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const int port = static_cast<int>(r.i64());
-    ports_[port] = r.unbox<Handler>();
-  }
-  parked_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    parked_.push_back(r.unbox<Packet>());
-  }
 }
 
 }  // namespace availsim::net

@@ -8,11 +8,6 @@
 #include "availsim/net/packet.hpp"
 #include "availsim/sim/simulator.hpp"
 
-namespace availsim::snapshot {
-class StateReader;
-class StateWriter;
-}  // namespace availsim::snapshot
-
 namespace availsim::net {
 
 /// A machine in the testbed. The host models the OS-level failure modes of
@@ -76,14 +71,9 @@ class Host {
   /// packets destined for its ports are discarded.
   void drop_parked_for_port(int port);
 
-  /// --- snapshot support (state, slow factor, port bindings, parked
-  /// packets; identity and wiring are construction-time) ---
-  void save_state(snapshot::StateWriter& writer) const;
-  void restore_state(snapshot::StateReader& reader);
-
  private:
   sim::Simulator& sim_;
-  NodeId id_;  // availlint: snap-skip(identity, fixed at construction)
+  NodeId id_;
   std::string name_;
   State state_ = State::kUp;
   double slow_factor_ = 1.0;

@@ -4,7 +4,6 @@
 #include <memory>
 #include <utility>
 
-#include "availsim/snapshot/state_io.hpp"
 #include "availsim/trace/trace.hpp"
 
 namespace availsim::net {
@@ -245,8 +244,7 @@ void Network::ping(NodeId src, NodeId dst, sim::Time timeout, PingCallback cb) {
   assert(hosts_.contains(src) && hosts_.contains(dst));
   // The callback lives in pings_ under a fresh id; the echo and timeout
   // closures capture only the id, so whichever fires first resolves the
-  // ping and the other is a no-op. (No shared answered-flag: closures must
-  // stay snapshot-clonable without aliasing live state.)
+  // ping and the other is a no-op.
   const std::uint64_t id = next_ping_id_++;
   pings_.emplace(id, std::move(cb));
   const sim::Time rtt = 2 * params_.base_latency + 2 * tx_time(64);
@@ -310,128 +308,6 @@ void Network::set_switch_up(bool up) {
   if (up && !was) {
     flush(flows_.take_all_parked());
   }
-}
-
-void Network::save_state(snapshot::StateWriter& w) const {
-  w.section("net:" + params_.name);
-  w.u64(link_up_.size());
-  for (NodeId id : snapshot::sorted_keys(link_up_)) {
-    w.i64(id);
-    w.boolean(link_up_.at(id));
-  }
-  w.u64(link_free_.size());
-  for (const auto& [id, at] : link_free_) {  // flat map: ascending node ids
-    w.i64(id);
-    w.i64(at);
-  }
-  w.u64(quality_.size());
-  for (NodeId id : snapshot::sorted_keys(quality_)) {
-    const LinkQuality& q = quality_.at(id);
-    w.i64(id);
-    w.f64(q.loss);
-    w.i64(q.extra_latency);
-    w.i64(q.extra_jitter);
-  }
-  w.u64(flaps_.size());
-  for (NodeId id : snapshot::sorted_keys(flaps_)) {
-    const FlapState& f = flaps_.at(id);
-    w.i64(id);
-    w.i64(f.down_time);
-    w.i64(f.up_time);
-    w.u64(f.epoch);
-  }
-  w.u64(groups_.size());
-  for (const auto& [group, members] : groups_) {
-    w.i64(group);
-    w.u64(members.size());
-    for (NodeId member : members) w.i64(member);
-  }
-  w.u64(pings_.size());
-  for (const auto& [id, cb] : pings_) {
-    w.u64(id);
-    w.box(cb);
-  }
-  w.u64(next_ping_id_);
-  flows_.save_state(w);
-  // Verbatim, by index: in-flight delivery closures and parked sends hold
-  // RefusalIds into this table.
-  w.u64(refusals_.size());
-  for (const sim::EventFn& fn : refusals_) {
-    assert(fn.clonable() && "on_refused must capture by value to snapshot");
-    w.box(std::make_shared<const sim::EventFn>(fn.clone()));
-  }
-  w.u64(free_refusals_.size());
-  for (RefusalId id : free_refusals_) w.u32(id);
-  w.boolean(switch_up_);
-  w.u64(delivered_);
-  w.u64(dropped_);
-  w.u64(lost_);
-  for (std::uint64_t word : rng_.state()) w.u64(word);
-  w.u64(rng_.stream_seed());
-}
-
-void Network::restore_state(snapshot::StateReader& r) {
-  r.section("net:" + params_.name);
-  link_up_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const NodeId id = static_cast<NodeId>(r.i64());
-    link_up_[id] = r.boolean();
-  }
-  link_free_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const NodeId id = static_cast<NodeId>(r.i64());
-    link_free_[id] = r.i64();
-  }
-  quality_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const NodeId id = static_cast<NodeId>(r.i64());
-    LinkQuality q;
-    q.loss = r.f64();
-    q.extra_latency = r.i64();
-    q.extra_jitter = r.i64();
-    quality_[id] = q;
-  }
-  flaps_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const NodeId id = static_cast<NodeId>(r.i64());
-    FlapState f;
-    f.down_time = r.i64();
-    f.up_time = r.i64();
-    f.epoch = r.u64();
-    flaps_[id] = f;
-  }
-  groups_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const int group = static_cast<int>(r.i64());
-    std::set<NodeId>& members = groups_[group];
-    for (std::uint64_t j = 0, m = r.u64(); j < m; ++j) {
-      members.insert(static_cast<NodeId>(r.i64()));
-    }
-  }
-  pings_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const std::uint64_t id = r.u64();
-    pings_.emplace(id, r.unbox<PingCallback>());
-  }
-  next_ping_id_ = r.u64();
-  flows_.restore_state(r);
-  refusals_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    // Clone, never move: the checkpoint may be restored again.
-    refusals_.push_back(r.unbox<std::shared_ptr<const sim::EventFn>>()->clone());
-  }
-  free_refusals_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    free_refusals_.push_back(r.u32());
-  }
-  switch_up_ = r.boolean();
-  delivered_ = r.u64();
-  dropped_ = r.u64();
-  lost_ = r.u64();
-  std::array<std::uint64_t, 4> s;
-  for (std::uint64_t& word : s) word = r.u64();
-  const std::uint64_t seed = r.u64();
-  rng_.restore_state(s, seed);
 }
 
 void Network::flush(std::vector<FlowTable::PendingSend> parked) {

@@ -14,11 +14,6 @@
 #include "availsim/sim/rng.hpp"
 #include "availsim/sim/simulator.hpp"
 
-namespace availsim::snapshot {
-class StateReader;
-class StateWriter;
-}  // namespace availsim::snapshot
-
 namespace availsim::net {
 
 struct NetworkParams {
@@ -126,11 +121,6 @@ class Network {
   std::uint64_t packets_lost() const { return lost_; }
   std::size_t parked_reliable() const { return flows_.parked_count(); }
 
-  /// --- snapshot support (link/switch state, in-flight reliable flows,
-  /// parked sends, multicast groups, outstanding pings, RNG) ---
-  void save_state(snapshot::StateWriter& writer) const;
-  void restore_state(snapshot::StateReader& reader);
-
  private:
   struct FlapState {
     sim::Time down_time = 0;
@@ -165,7 +155,7 @@ class Network {
   sim::Simulator& sim_;
   sim::Rng rng_;
   NetworkParams params_;
-  std::unordered_map<NodeId, Host*> hosts_;  // availlint: snap-skip(wiring; hosts snapshot themselves via the testbed)
+  std::unordered_map<NodeId, Host*> hosts_;
   std::unordered_map<NodeId, bool> link_up_;
   // Flat map: probed on every transmit (uplink serialization); the node
   // population is fixed at attach time, so steady state is pure lookup.
@@ -174,10 +164,10 @@ class Network {
   std::unordered_map<NodeId, FlapState> flaps_;
   // Ordered on purpose: multicast iterates members and each transmit draws
   // RNG jitter, so the iteration order is part of the event schedule — it
-  // must be canonical, not hash order (which a restore cannot reproduce).
+  // must be canonical, not hash order.
   std::map<int, std::set<NodeId>> groups_;
-  // Outstanding pings by id; the echo/timeout closures capture only the id
-  // so a checkpoint clone never aliases a shared answered-flag.
+  // Outstanding pings by id; the echo/timeout closures capture only the id,
+  // so whichever fires second finds the ping gone.
   std::map<std::uint64_t, PingCallback> pings_;
   std::uint64_t next_ping_id_ = 1;
   FlowTable flows_;

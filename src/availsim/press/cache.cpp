@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "availsim/snapshot/state_io.hpp"
-
 namespace availsim::press {
 
 namespace {
@@ -80,25 +78,6 @@ std::vector<workload::FileId> LruCache::resident() const {
     out.push_back(file_of(s));
   }
   return out;
-}
-
-void LruCache::save_state(snapshot::StateWriter& w) const {
-  w.section("cache");
-  w.u64(size_);
-  for (std::uint32_t s = next_[0]; s != 0; s = next_[s]) {
-    w.u64(static_cast<std::uint64_t>(file_of(s)));  // MRU first
-  }
-}
-
-void LruCache::restore_state(snapshot::StateReader& r) {
-  r.section("cache");
-  clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const auto file = static_cast<workload::FileId>(r.u64());
-    grow_to(file);
-    link_after(slot_of(file), prev_[0]);  // append at the LRU end
-    ++size_;
-  }
 }
 
 }  // namespace availsim::press

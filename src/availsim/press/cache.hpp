@@ -5,11 +5,6 @@
 
 #include "availsim/workload/fileset.hpp"
 
-namespace availsim::snapshot {
-class StateReader;
-class StateWriter;
-}  // namespace availsim::snapshot
-
 namespace availsim::press {
 
 /// In-memory LRU file cache of one PRESS node. All files are the same size
@@ -41,11 +36,6 @@ class LruCache {
   /// Snapshot of resident files, MRU first (sent to a rejoining peer).
   std::vector<workload::FileId> resident() const;
 
-  /// --- snapshot support (recency list in MRU order; capacity is a
-  /// construction parameter) ---
-  void save_state(snapshot::StateWriter& writer) const;
-  void restore_state(snapshot::StateReader& reader);
-
  private:
   // prev_ value of a slot whose file is not resident.
   static constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
@@ -55,12 +45,12 @@ class LruCache {
   void unlink(std::uint32_t slot);
   void link_after(std::uint32_t slot, std::uint32_t at);
 
-  std::size_t capacity_files_;  // availlint: snap-skip(construction parameter, re-supplied on restart)
+  std::size_t capacity_files_;
   // Circular recency list over slots: slot 0 is the sentinel (next_[0] is
   // the MRU file, prev_[0] the LRU one) and file f lives in slot f + 1.
-  std::vector<std::uint32_t> prev_{0};  // availlint: snap-skip(linkage, rebuilt from the MRU-order list on restore)
-  std::vector<std::uint32_t> next_{0};  // availlint: snap-skip(linkage, rebuilt from the MRU-order list on restore)
-  std::size_t size_ = 0;  // availlint: snap-skip(resident count, rebuilt from the MRU-order list on restore)
+  std::vector<std::uint32_t> prev_{0};
+  std::vector<std::uint32_t> next_{0};
+  std::size_t size_ = 0;
 };
 
 }  // namespace availsim::press

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "availsim/snapshot/state_io.hpp"
-
 namespace availsim::press {
 
 namespace {
@@ -70,50 +68,6 @@ bool Directory::node_caches_file(net::NodeId node,
   const std::vector<net::NodeId>* nodes = replicas(file);
   return nodes != nullptr &&
          std::find(nodes->begin(), nodes->end(), node) != nodes->end();
-}
-
-void Directory::save_state(snapshot::StateWriter& w) const {
-  w.section("dir");
-  // Only files with a known replica, in ascending FileId: the image a
-  // file -> nodes map with sorted keys would write.
-  const auto known = static_cast<std::uint64_t>(std::count_if(
-      where_.begin(), where_.end(),
-      [](const std::vector<net::NodeId>& nodes) { return !nodes.empty(); }));
-  w.u64(known);
-  for (std::size_t file = 0; file < where_.size(); ++file) {
-    const std::vector<net::NodeId>& nodes = where_[file];
-    if (nodes.empty()) continue;
-    w.u64(file);
-    w.u64(nodes.size());
-    // Replica vectors keep insertion order: best_service_node ties break on
-    // position, so the order is semantic, not incidental.
-    for (net::NodeId n : nodes) w.i64(n);
-  }
-  w.u64(loads_.size());
-  for (const auto& [n, l] : loads_) {  // FlatMap: already ascending
-    w.i64(n);
-    w.i64(l);
-  }
-}
-
-void Directory::restore_state(snapshot::StateReader& r) {
-  r.section("dir");
-  where_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const auto file = static_cast<workload::FileId>(r.u64());
-    if (idx(file) >= where_.size()) where_.resize(idx(file) + 1);
-    std::vector<net::NodeId>& nodes = where_[idx(file)];
-    const std::uint64_t count = r.u64();
-    nodes.reserve(count);
-    for (std::uint64_t j = 0; j < count; ++j) {
-      nodes.push_back(static_cast<net::NodeId>(r.i64()));
-    }
-  }
-  loads_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const auto node = static_cast<net::NodeId>(r.i64());
-    loads_[node] = static_cast<int>(r.i64());
-  }
 }
 
 std::size_t Directory::files_known_for(net::NodeId node) const {

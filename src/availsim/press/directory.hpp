@@ -7,11 +7,6 @@
 #include "availsim/sim/flat.hpp"
 #include "availsim/workload/fileset.hpp"
 
-namespace availsim::snapshot {
-class StateReader;
-class StateWriter;
-}  // namespace availsim::snapshot
-
 namespace availsim::press {
 
 /// One node's view of which files its peers cache (locality information)
@@ -40,10 +35,6 @@ class Directory {
 
   bool node_caches_file(net::NodeId node, workload::FileId file) const;
   std::size_t files_known_for(net::NodeId node) const;
-
-  /// --- snapshot support ---
-  void save_state(snapshot::StateWriter& writer) const;
-  void restore_state(snapshot::StateReader& reader);
 
  private:
   /// The replicas known for `file`, or nullptr when there are none.

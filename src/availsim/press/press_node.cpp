@@ -4,7 +4,6 @@
 #include <cassert>
 #include <utility>
 
-#include "availsim/snapshot/state_io.hpp"
 #include "availsim/trace/trace.hpp"
 
 namespace availsim::press {
@@ -318,6 +317,9 @@ void PressNode::serve_from_disk(const workload::HttpRequest& request) {
     schedule_cpu(p_.cpu_disk_finish,
                  [this, request] { finish_disk_read(request); });
   };
+  static_assert(sim::EventFn::stores_inline<decltype(completion)>(),
+                "disk-read completion outgrows EventFn's inline buffer; every "
+                "disk read would heap-allocate");
   if (d->submit(files_.file_bytes, completion)) return;
   // Disk queue full: the coordinating thread blocks trying to enqueue.
   // availlint: hot-ok(runs only on a full disk queue, once per blocked episode)
@@ -1026,147 +1028,6 @@ void PressNode::node_out(net::NodeId node) {
   }
   mark("node_out", node);
   exclude_node(node);
-}
-
-void PressNode::save_state(snapshot::StateWriter& w) const {
-  w.section("press:" + host_.name());
-  w.boolean(process_up_);
-  w.boolean(hung_);
-  w.boolean(blocked_);
-  // block_reason_ points at a string literal; same-process restore keeps it
-  // valid, so it rides the boxed channel as a raw pointer.
-  w.box(block_reason_);
-  w.box(block_retry_);
-  w.u64(epoch_);
-  cache_.save_state(w);
-  dir_.save_state(w);
-  // Flat containers iterate in ascending key order, which is exactly the
-  // canonical order the image format wants — no sorted_keys() copies.
-  w.u64(coop_.size());
-  for (net::NodeId n : coop_) w.i64(n);
-  w.u64(sendq_.size());
-  for (const auto& [peer, q] : sendq_) {
-    w.i64(peer);
-    q->save_state(w);
-  }
-  w.u64(forwards_.size());
-  for (const auto& [fid, f] : forwards_) {
-    w.u64(fid);
-    w.u64(f.request.file);
-    w.i64(f.request.client);
-    w.u64(f.request.request_id);
-    w.i64(f.request.reply_port);
-    w.i64(f.request.sent_at);
-    w.i64(f.peer);
-    w.i64(f.deadline);
-  }
-  w.u64(next_forward_id_);
-  w.u64(last_heartbeat_.size());
-  for (const auto& [n, at] : last_heartbeat_) {
-    w.i64(n);
-    w.i64(at);
-  }
-  w.u64(backlog_.size());
-  for (const net::Packet& p : backlog_) w.box(p);
-  w.u64(paused_.size());
-  // Cloned into a shared_ptr box, as the simulator boxes its queue.
-  for (const sim::EventFn& fn : paused_) {
-    w.box(std::make_shared<const sim::EventFn>(fn.clone()));
-  }
-  w.i64(cpu_free_);
-  w.i64(last_progress_);
-  w.i64(active_requests_);
-  w.boolean(joined_once_);
-  w.u64(stats_.served_local_cache);
-  w.u64(stats_.served_local_disk);
-  w.u64(stats_.served_remote);
-  w.u64(stats_.forwards_sent);
-  w.u64(stats_.forward_replies);
-  w.u64(stats_.forward_failures);
-  w.u64(stats_.rerouted);
-  w.u64(stats_.rerouted_slow);
-  w.u64(stats_.shed_stale);
-  w.u64(stats_.dropped_overload);
-  w.u64(stats_.dropped_nonmember);
-  w.u64(stats_.exclusions);
-  w.u64(stats_.self_exclusions);
-  w.u64(stats_.qmon_failures);
-  w.u64(stats_.rejoins);
-  w.u64(stats_.blocked_episodes);
-  const auto& s = rng_.state();
-  for (std::uint64_t word : s) w.u64(word);
-  w.u64(rng_.stream_seed());
-}
-
-void PressNode::restore_state(snapshot::StateReader& r) {
-  r.section("press:" + host_.name());
-  process_up_ = r.boolean();
-  hung_ = r.boolean();
-  blocked_ = r.boolean();
-  block_reason_ = r.unbox<const char*>();
-  block_retry_ = r.unbox<std::function<bool()>>();
-  epoch_ = r.u64();
-  cache_.restore_state(r);
-  dir_.restore_state(r);
-  coop_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    coop_.insert(static_cast<net::NodeId>(r.i64()));
-  }
-  sendq_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const auto peer = static_cast<net::NodeId>(r.i64());
-    sendq(peer).restore_state(r);  // factory re-supplies policy/capacity
-  }
-  forwards_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const std::uint64_t fid = r.u64();
-    PendingForward f;
-    f.request.file = static_cast<workload::FileId>(r.u64());
-    f.request.client = static_cast<net::NodeId>(r.i64());
-    f.request.request_id = r.u64();
-    f.request.reply_port = static_cast<int>(r.i64());
-    f.request.sent_at = r.i64();
-    f.peer = static_cast<net::NodeId>(r.i64());
-    f.deadline = r.i64();
-    forwards_.emplace(fid, std::move(f));
-  }
-  next_forward_id_ = r.u64();
-  last_heartbeat_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const auto node = static_cast<net::NodeId>(r.i64());
-    last_heartbeat_[node] = r.i64();
-  }
-  backlog_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    backlog_.push_back(r.unbox<net::Packet>());
-  }
-  paused_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    paused_.push_back(r.unbox<std::shared_ptr<const sim::EventFn>>()->clone());
-  }
-  cpu_free_ = r.i64();
-  last_progress_ = r.i64();
-  active_requests_ = static_cast<int>(r.i64());
-  joined_once_ = r.boolean();
-  stats_.served_local_cache = r.u64();
-  stats_.served_local_disk = r.u64();
-  stats_.served_remote = r.u64();
-  stats_.forwards_sent = r.u64();
-  stats_.forward_replies = r.u64();
-  stats_.forward_failures = r.u64();
-  stats_.rerouted = r.u64();
-  stats_.rerouted_slow = r.u64();
-  stats_.shed_stale = r.u64();
-  stats_.dropped_overload = r.u64();
-  stats_.dropped_nonmember = r.u64();
-  stats_.exclusions = r.u64();
-  stats_.self_exclusions = r.u64();
-  stats_.qmon_failures = r.u64();
-  stats_.rejoins = r.u64();
-  stats_.blocked_episodes = r.u64();
-  std::array<std::uint64_t, 4> s{};
-  for (std::uint64_t& word : s) word = r.u64();
-  rng_.restore_state(s, r.u64());
 }
 
 }  // namespace availsim::press

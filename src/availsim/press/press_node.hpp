@@ -22,11 +22,6 @@
 #include "availsim/sim/simulator.hpp"
 #include "availsim/workload/http.hpp"
 
-namespace availsim::snapshot {
-class StateReader;
-class StateWriter;
-}  // namespace availsim::snapshot
-
 namespace availsim::press {
 
 /// One PRESS server process.
@@ -101,7 +96,6 @@ class PressNode {
   void node_in(net::NodeId node);
   void node_out(net::NodeId node);
   /// PRESS -> membership NodeDown() report (wired in MEM/MQ/FME configs).
-  // availlint: snap-skip(wiring hook, re-established at construction)
   std::function<void(net::NodeId)> report_node_down;
 
   /// --- introspection ---
@@ -117,13 +111,7 @@ class PressNode {
 
   /// Marker stream for the measurement harness ("exclude", "blocked",
   /// "rejoined", ...).
-  // availlint: snap-skip(wiring hook, re-established at construction)
   std::function<void(const char* marker, net::NodeId about)> on_marker;
-
-  /// --- snapshot support (process/application state; wiring, params and
-  /// the marker/report hooks are construction-time) ---
-  void save_state(snapshot::StateWriter& writer) const;
-  void restore_state(snapshot::StateReader& reader);
 
  private:
   // --- guards / thread model ---
@@ -202,10 +190,10 @@ class PressNode {
   net::Network& client_net_;
   net::Host& host_;
   sim::Rng rng_;
-  PressParams p_;           // availlint: snap-skip(construction-time config, never mutated)
-  workload::FileSet files_; // availlint: snap-skip(construction-time file catalog, never mutated)
-  std::vector<net::NodeId> configured_;  // availlint: snap-skip(boot-time node list, never mutated)
-  std::vector<disk::Disk*> disks_;  // availlint: snap-skip(wiring; disks snapshot themselves via the testbed)
+  PressParams p_;
+  workload::FileSet files_;
+  std::vector<net::NodeId> configured_;
+  std::vector<disk::Disk*> disks_;
 
   // --- process state ---
   bool process_up_ = false;
@@ -217,9 +205,9 @@ class PressNode {
 
   // --- application state (reset on restart) ---
   // Flat sorted containers: iteration is in ascending node-id/request-id
-  // order by construction, so send loops and snapshot writers never see
-  // hash order, and the forward path stops paying a node allocation per
-  // insert (see hot-alloc in tools/availlint).
+  // order by construction, so send loops never see hash order, and the
+  // forward path stops paying a node allocation per insert (see hot-alloc
+  // in tools/availlint).
   LruCache cache_;
   Directory dir_;
   sim::FlatSet<net::NodeId> coop_;

@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "availsim/snapshot/state_io.hpp"
-
 namespace availsim::qmon {
 
 SelfMonitoringQueue::SelfMonitoringQueue(QmonPolicy policy,
@@ -98,44 +96,6 @@ std::vector<std::uint64_t> SelfMonitoringQueue::purge() {
   in_flight_.clear();
   outstanding_.clear();
   return ids;
-}
-
-void SelfMonitoringQueue::save_state(snapshot::StateWriter& w) const {
-  w.section("qmon");
-  w.u64(queue_.size());
-  // Entries carry a shared_ptr<const void> body; the payload is immutable,
-  // so the clone sharing it with the live queue is safe. Box whole entries.
-  for (const Entry& e : queue_) w.box(e);
-  w.u64(queued_requests_);
-  w.u64(in_flight_.size());
-  for (const auto& [id, acked] : in_flight_) {  // flat map: ascending ids
-    w.u64(id);
-    w.boolean(acked);
-  }
-  w.u64(outstanding_.size());
-  for (const auto& [id, sent] : outstanding_) {
-    w.u64(id);
-    w.i64(sent);
-  }
-}
-
-void SelfMonitoringQueue::restore_state(snapshot::StateReader& r) {
-  r.section("qmon");
-  queue_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    queue_.push_back(r.unbox<Entry>());
-  }
-  queued_requests_ = r.u64();
-  in_flight_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const std::uint64_t id = r.u64();
-    in_flight_[id] = r.boolean();
-  }
-  outstanding_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const std::uint64_t id = r.u64();
-    outstanding_[id] = r.i64();
-  }
 }
 
 }  // namespace availsim::qmon

@@ -11,11 +11,6 @@
 #include "availsim/sim/rng.hpp"
 #include "availsim/sim/time.hpp"
 
-namespace availsim::snapshot {
-class StateReader;
-class StateWriter;
-}  // namespace availsim::snapshot
-
 namespace availsim::qmon {
 
 /// Queue-monitoring thresholds (paper §4.3 / §5). With monitoring enabled,
@@ -109,16 +104,10 @@ class SelfMonitoringQueue {
   std::size_t outstanding() const { return outstanding_.size(); }
   const QmonPolicy& policy() const { return policy_; }
 
-  /// --- snapshot support (queue contents and window bookkeeping; policy,
-  /// capacity and window are construction parameters, re-supplied by the
-  /// owner when it recreates the queue) ---
-  void save_state(snapshot::StateWriter& writer) const;
-  void restore_state(snapshot::StateReader& reader);
-
  private:
-  QmonPolicy policy_;              // availlint: snap-skip(construction parameter, re-supplied by the owner factory)
-  std::size_t block_capacity_;     // availlint: snap-skip(construction parameter, re-supplied by the owner factory)
-  int window_;                     // availlint: snap-skip(construction parameter, re-supplied by the owner factory)
+  QmonPolicy policy_;
+  std::size_t block_capacity_;
+  int window_;
   std::deque<Entry> queue_;
   std::size_t queued_requests_ = 0;
   // Flat maps keyed by monotonic request id: appends at the tail, ascending

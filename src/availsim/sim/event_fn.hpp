@@ -32,6 +32,8 @@ class EventFn {
   }
 
   EventFn() noexcept = default;
+  EventFn(std::nullptr_t) noexcept {}  // NOLINT(google-explicit-constructor):
+                                       // empty, like std::function's.
 
   template <typename F, typename D = std::decay_t<F>,
             typename = std::enable_if_t<!std::is_same_v<D, EventFn> &&
@@ -72,32 +74,11 @@ class EventFn {
 
   explicit operator bool() const noexcept { return ops_ != nullptr; }
 
-  /// True when the stored callable is copy-constructible, i.e. clone()
-  /// is legal. Every closure the substrate schedules captures by value
-  /// (snapshot/restore depends on it); move-only captures are still fine
-  /// for events that never live across a checkpoint.
-  bool clonable() const noexcept {
-    return ops_ == nullptr || ops_->clone != nullptr;
-  }
-
-  /// Deep copy of the stored callable (snapshot/restore: the simulator
-  /// checkpoints its pending-event queue by cloning every EventFn).
-  /// Requires clonable().
-  EventFn clone() const {
-    EventFn out;
-    if (ops_ != nullptr) {
-      out = ops_->clone(buf_);
-    }
-    return out;
-  }
-
  private:
   struct Ops {
     void (*call)(void*);
     void (*relocate)(void*, void*) noexcept;  // move into dst, destroy src
     void (*destroy)(void*) noexcept;
-    // Deep copy; nullptr for move-only callables (clonable() == false).
-    EventFn (*clone)(const void*);
   };
 
   template <typename D>
@@ -135,42 +116,11 @@ class EventFn {
   }
 
   template <typename D>
-  static EventFn inline_clone(const void* p) {
-    // Only instantiated for copy-constructible D (see pick_clone).
-    if constexpr (std::is_copy_constructible_v<D>) {
-      return EventFn(*static_cast<const D*>(p));
-    } else {
-      return EventFn();
-    }
-  }
-  template <typename D>
-  static EventFn heap_clone(const void* p) {
-    if constexpr (std::is_copy_constructible_v<D>) {
-      const D* ptr;
-      std::memcpy(&ptr, p, sizeof(ptr));
-      return EventFn(*ptr);
-    } else {
-      return EventFn();
-    }
-  }
-
-  template <typename D, bool Inline>
-  static constexpr auto pick_clone() -> EventFn (*)(const void*) {
-    if constexpr (std::is_copy_constructible_v<D>) {
-      return Inline ? &inline_clone<D> : &heap_clone<D>;
-    } else {
-      return nullptr;
-    }
-  }
-
-  template <typename D>
   static constexpr Ops kInlineOps{&inline_call<D>, &inline_relocate<D>,
-                                  &inline_destroy<D>,
-                                  pick_clone<D, /*Inline=*/true>()};
+                                  &inline_destroy<D>};
   template <typename D>
   static constexpr Ops kHeapOps{&heap_call<D>, &heap_relocate<D>,
-                                &heap_destroy<D>,
-                                pick_clone<D, /*Inline=*/false>()};
+                                &heap_destroy<D>};
 
   void reset() noexcept {
     if (ops_) {

@@ -3,8 +3,8 @@
 // (NodeId, request ids).  One contiguous allocation instead of a node per
 // element: no per-insert heap traffic on the hot path, cache-friendly
 // scans, and iteration is in ascending key order by construction — so
-// snapshot writers and send loops need no sorted_keys()/sorted_values()
-// copy, and hash order can never leak into event order.
+// send loops need no sorted copy, and hash order can never leak into
+// event order.
 //
 // Deliberately minimal: exactly the operations the subsystems use.
 // Inserts shift the tail (O(n)), which is the right trade for the

@@ -33,15 +33,6 @@ class Rng {
   /// Normal via Box-Muller (used for jittering service times).
   double normal(double mean, double stddev);
 
-  /// --- snapshot support (full generator state round-trip) ---
-  const std::array<std::uint64_t, 4>& state() const { return s_; }
-  std::uint64_t stream_seed() const { return seed_; }
-  void restore_state(const std::array<std::uint64_t, 4>& s,
-                     std::uint64_t seed) {
-    s_ = s;
-    seed_ = seed;
-  }
-
  private:
   std::array<std::uint64_t, 4> s_{};
   std::uint64_t seed_ = 0;  // retained for fork()

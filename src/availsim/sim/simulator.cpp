@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <memory>
 #include <utility>
 
-#include "availsim/snapshot/state_io.hpp"
 #include "availsim/trace/trace.hpp"
 
 namespace availsim::sim {
@@ -102,8 +100,9 @@ void Simulator::cancel(EventId id) {
   const auto slot = static_cast<std::uint32_t>(id);
   const auto generation = static_cast<std::uint32_t>(id >> 32);
   // Releasing a slot bumps its generation, so fired, cancelled and running
-  // ids all miss. The heap check rejects the one id that can still match a
-  // free slot: one handed out in a branch that restore_state() discarded.
+  // ids all miss. The heap check is a guard on the slot table: should a
+  // matching generation ever name a slot that is not pending, cancel stays
+  // a no-op instead of removing whichever event sits at that index.
   if (slot >= generations_.size() || generations_[slot] != generation) return;
   const std::uint32_t at = pos_[slot];
   if (at >= heap_.size() || heap_[at].slot != slot) return;
@@ -146,67 +145,6 @@ void Simulator::run_until(Time t) {
   stopped_ = false;
   while (!stopped_ && !heap_.empty() && heap_.front().t <= t) step();
   if (now_ < t) now_ = t;
-}
-
-void Simulator::save_state(snapshot::StateWriter& w) const {
-  w.section("sim");
-  w.i64(now_);
-  w.u64(next_seq_);
-  w.u64(processed_);
-  // Slot table, verbatim: generations and the free list must survive so
-  // EventIds issued before the snapshot stay valid (and stale ids stay
-  // stale) after restore — no renumbering.
-  w.u64(generations_.size());
-  for (std::uint32_t g : generations_) w.u32(g);
-  w.u64(free_slots_.size());
-  for (std::uint32_t s : free_slots_) w.u32(s);
-  // Pending events in canonical (t, seq) order, so the image does not
-  // depend on the heap's internal layout.
-  std::vector<QueuedEvent> entries = heap_;
-  std::sort(entries.begin(), entries.end(), before);
-  w.u64(entries.size());
-  for (const QueuedEvent& e : entries) {
-    const EventFn& fn = fns_[e.slot];
-    assert(fn.clonable() &&
-           "pending event captures move-only state; snapshot requires "
-           "by-value (copyable) captures");
-    w.i64(e.t);
-    w.u64(e.seq);
-    w.u32(e.slot);
-    // shared_ptr wrapper: std::any requires copy-constructible contents,
-    // and sharing the clone lets one snapshot be restored many times.
-    w.box(std::make_shared<const EventFn>(fn.clone()));
-  }
-}
-
-void Simulator::restore_state(snapshot::StateReader& r) {
-  r.section("sim");
-  now_ = r.i64();
-  next_seq_ = r.u64();
-  processed_ = r.u64();
-  generations_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    generations_.push_back(r.u32());
-  }
-  free_slots_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    free_slots_.push_back(r.u32());
-  }
-  heap_.clear();
-  pos_.assign(generations_.size(), 0);
-  fns_.clear();
-  fns_.resize(generations_.size());
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    QueuedEvent ev;
-    ev.t = r.i64();
-    ev.seq = r.u64();
-    ev.slot = r.u32();
-    // Clone out of the snapshot (never move): the same checkpoint may be
-    // restored again for the next splitting branch.
-    fns_[ev.slot] = r.unbox<std::shared_ptr<const EventFn>>()->clone();
-    push(ev);
-  }
-  stopped_ = false;
 }
 
 }  // namespace availsim::sim

@@ -10,11 +10,6 @@ namespace availsim::trace {
 class Tracer;
 }
 
-namespace availsim::snapshot {
-class StateReader;
-class StateWriter;
-}  // namespace availsim::snapshot
-
 namespace availsim::sim {
 
 /// Opaque handle to a scheduled event; used only for cancellation.
@@ -101,21 +96,6 @@ class Simulator {
   trace::Tracer* tracer() const { return tracer_; }
   void set_tracer(trace::Tracer* tracer);
 
-  /// Checkpoints the full event-queue state: clock, seq counter, the slot
-  /// table (generations, free list) and every pending event with a deep
-  /// clone of its callable. EventIds handed out before the snapshot remain
-  /// valid after restore_state() — nothing is renumbered — so subsystems
-  /// may keep cancellation handles across a checkpoint. Requires every
-  /// pending callable to be copy-constructible (EventFn::clonable()).
-  void save_state(snapshot::StateWriter& writer) const;
-
-  /// Restores a checkpoint taken by save_state() into this instance. The
-  /// snapshot must come from the same process (closures capture pointers
-  /// into the owning subsystems); restoring does not consume it, so one
-  /// checkpoint can seed many branches. The tracer attachment is wiring
-  /// and is left untouched.
-  void restore_state(snapshot::StateReader& reader);
-
  private:
   std::uint32_t acquire_slot();
   void release_slot(std::uint32_t slot);
@@ -133,18 +113,18 @@ class Simulator {
   }
 
   Time now_ = 0;
-  trace::Tracer* tracer_ = nullptr;  // availlint: snap-skip(wiring; the tracer snapshots itself via the testbed)
+  trace::Tracer* tracer_ = nullptr;
   // Cached tracer_->wants(kSim): keeps the per-step gate to one flag test.
-  bool trace_steps_ = false;  // availlint: snap-skip(debug toggle, not simulated state)
+  bool trace_steps_ = false;
   std::uint64_t next_seq_ = 1;
   std::uint64_t processed_ = 0;
-  bool stopped_ = false;  // availlint: snap-skip(cleared on restore; a restored run is live by definition)
+  bool stopped_ = false;
   std::vector<QueuedEvent> heap_;
   // Slot table, one entry per slot: generation (never 0, so an id is never
   // kInvalidEvent), heap index while pending, and the pending callable
   // (empty for free slots).
   std::vector<std::uint32_t> generations_;
-  std::vector<std::uint32_t> pos_;  // availlint: snap-skip(rebuilt by re-push on restore)
+  std::vector<std::uint32_t> pos_;
   std::vector<EventFn> fns_;
   std::vector<std::uint32_t> free_slots_;
 };

@@ -78,14 +78,6 @@ void TierNode::unhang_process() {
   }
 }
 
-void TierNode::schedule_cpu(sim::Time cost, std::function<void()> fn) {
-  cpu_free_ = std::max(sim_.now(), cpu_free_) + cost;
-  sim_.schedule_at(cpu_free_, [this, e = epoch_, fn = std::move(fn)] {
-    if (epoch_ != e || !ok()) return;
-    fn();
-  });
-}
-
 void TierNode::arm_sweeper() {
   sim_.schedule_after(sim::kSecond, [this, e = epoch_] {
     if (epoch_ != e || !process_up_) return;

@@ -1,9 +1,10 @@
 #pragma once
 
+#include <algorithm>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "availsim/disk/disk.hpp"
@@ -81,7 +82,10 @@ class TierNode {
     return process_up_ && !hung_ &&
            host_.state() == net::Host::State::kUp;
   }
-  void schedule_cpu(sim::Time cost, std::function<void()> fn);
+  /// Runs `fn` on this node's CPU after `cost` service time. A template so
+  /// the event captures `fn` itself, as PressNode::schedule_cpu does.
+  template <typename F>
+  void schedule_cpu(sim::Time cost, F&& fn);
   void on_request(const net::Packet& packet);
   void on_reply(const net::Packet& packet);
   void finish(const workload::HttpRequest& request);
@@ -107,5 +111,15 @@ class TierNode {
   std::unordered_map<std::uint64_t, PendingDownstream> pending_;
   std::deque<net::Packet> backlog_;
 };
+
+template <typename F>
+void TierNode::schedule_cpu(sim::Time cost, F&& fn) {
+  cpu_free_ = std::max(sim_.now(), cpu_free_) + cost;
+  sim_.schedule_at(cpu_free_,
+                   [this, e = epoch_, fn = std::forward<F>(fn)]() mutable {
+                     if (epoch_ != e || !ok()) return;
+                     fn();
+                   });
+}
 
 }  // namespace availsim::tier

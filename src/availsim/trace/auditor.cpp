@@ -5,8 +5,6 @@
 #include <fstream>
 #include <utility>
 
-#include "availsim/snapshot/state_io.hpp"
-
 namespace availsim::trace {
 
 namespace {
@@ -439,160 +437,6 @@ void Auditor::on_record(const TraceRecord& record) {
     default:
       break;
   }
-}
-
-namespace {
-
-void save_record(snapshot::StateWriter& w, const TraceRecord& rec) {
-  w.i64(rec.at);
-  w.u64(rec.seq);
-  w.i64(rec.a);
-  w.i64(rec.b);
-  w.i64(rec.c);
-  w.i64(rec.node);
-  w.u32(static_cast<std::uint32_t>(rec.category));
-  w.u32(static_cast<std::uint32_t>(rec.kind));
-}
-
-void restore_record(snapshot::StateReader& r, TraceRecord& rec) {
-  rec.at = r.i64();
-  rec.seq = r.u64();
-  rec.a = r.i64();
-  rec.b = r.i64();
-  rec.c = r.i64();
-  rec.node = static_cast<std::int32_t>(r.i64());
-  rec.category = static_cast<Category>(r.u32());
-  rec.kind = static_cast<Kind>(r.u32());
-}
-
-}  // namespace
-
-void Auditor::save_state(snapshot::StateWriter& w) const {
-  w.section("auditor");
-  w.u64(violations_.size());
-  for (const Violation& v : violations_) {
-    w.str(v.invariant);
-    w.str(v.detail);
-    save_record(w, v.record);
-  }
-  w.u64(audited_);
-  w.i64(last_at_);
-  w.u64(open_requests_.size());
-  for (std::uint64_t k : snapshot::sorted_values(open_requests_)) w.u64(k);
-  w.u64(queues_.size());
-  for (std::uint64_t k : snapshot::sorted_keys(queues_)) {
-    const QueueState& q = queues_.at(k);
-    w.u64(k);
-    w.i64(q.requests);
-    w.i64(q.total);
-  }
-  w.u64(hb_seen_.size());
-  for (std::uint64_t k : snapshot::sorted_keys(hb_seen_)) {
-    w.u64(k);
-    w.i64(hb_seen_.at(k));
-  }
-  w.u64(coop_.size());
-  for (std::int32_t node : snapshot::sorted_keys(coop_)) {
-    w.i64(node);
-    w.u64(coop_.at(node));
-  }
-  w.u64(members_.size());
-  for (std::int32_t node : snapshot::sorted_keys(members_)) {
-    const MemberState& m = members_.at(node);
-    w.i64(node);
-    w.boolean(m.running);
-    w.u64(m.view);
-    w.i64(m.version);
-  }
-  w.u64(commits_.size());
-  for (std::int64_t cid : snapshot::sorted_keys(commits_)) {
-    w.i64(cid);
-    w.u64(commits_.at(cid));
-  }
-  w.u64(fme_failures_.size());
-  for (std::int32_t node : snapshot::sorted_keys(fme_failures_)) {
-    w.i64(node);
-    w.i64(fme_failures_.at(node));
-  }
-  w.u64(fme_restart_at_.size());
-  for (std::int32_t node : snapshot::sorted_keys(fme_restart_at_)) {
-    w.i64(node);
-    w.i64(fme_restart_at_.at(node));
-  }
-  w.u64(bad_disks_.size());
-  for (std::uint64_t k : snapshot::sorted_values(bad_disks_)) w.u64(k);
-  w.u64(active_faults_.size());
-  for (std::uint64_t k : snapshot::sorted_values(active_faults_)) w.u64(k);
-  w.i64(last_fault_change_);
-  w.i64(last_view_change_);
-}
-
-void Auditor::restore_state(snapshot::StateReader& r) {
-  r.section("auditor");
-  violations_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    Violation v;
-    v.invariant = r.str();
-    v.detail = r.str();
-    restore_record(r, v.record);
-    violations_.push_back(std::move(v));
-  }
-  audited_ = r.u64();
-  last_at_ = r.i64();
-  open_requests_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    open_requests_.insert(r.u64());
-  }
-  queues_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const std::uint64_t k = r.u64();
-    QueueState& q = queues_[k];
-    q.requests = r.i64();
-    q.total = r.i64();
-  }
-  hb_seen_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const std::uint64_t k = r.u64();
-    hb_seen_[k] = r.i64();
-  }
-  coop_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const auto node = static_cast<std::int32_t>(r.i64());
-    coop_[node] = r.u64();
-  }
-  members_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const auto node = static_cast<std::int32_t>(r.i64());
-    MemberState& m = members_[node];
-    m.running = r.boolean();
-    m.view = r.u64();
-    m.version = r.i64();
-  }
-  commits_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const std::int64_t cid = r.i64();
-    commits_[cid] = r.u64();
-  }
-  fme_failures_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const auto node = static_cast<std::int32_t>(r.i64());
-    fme_failures_[node] = static_cast<int>(r.i64());
-  }
-  fme_restart_at_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    const auto node = static_cast<std::int32_t>(r.i64());
-    fme_restart_at_[node] = r.i64();
-  }
-  bad_disks_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    bad_disks_.insert(r.u64());
-  }
-  active_faults_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    active_faults_.insert(r.u64());
-  }
-  last_fault_change_ = r.i64();
-  last_view_change_ = r.i64();
 }
 
 }  // namespace availsim::trace

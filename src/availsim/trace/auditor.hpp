@@ -82,15 +82,10 @@ class Auditor : public TraceListener {
   std::uint64_t records_audited() const { return audited_; }
 
   /// Override to collect violations instead of aborting.
-  std::function<void(const Violation&)> on_violation;  // availlint: snap-skip(wiring hook, re-established at construction)
+  std::function<void(const Violation&)> on_violation;
 
   /// The last `window` retained records, one format_record() line each.
   std::string format_window() const;
-
-  /// --- snapshot support (derived protocol state; tracer registration and
-  /// the violation hook are wiring) ---
-  void save_state(snapshot::StateWriter& writer) const;
-  void restore_state(snapshot::StateReader& reader);
 
  private:
   void violate(const TraceRecord& record, const char* invariant,
@@ -105,7 +100,7 @@ class Auditor : public TraceListener {
   }
 
   Tracer& tracer_;
-  AuditorConfig cfg_;  // availlint: snap-skip(construction-time audit config)
+  AuditorConfig cfg_;
   std::vector<Violation> violations_;
   std::uint64_t audited_ = 0;
   sim::Time last_at_ = 0;

@@ -4,8 +4,6 @@
 #include <charconv>
 #include <ostream>
 
-#include "availsim/snapshot/state_io.hpp"
-
 namespace availsim::trace {
 
 const char* to_string(Category category) {
@@ -132,44 +130,6 @@ std::vector<TraceRecord> Tracer::last(std::size_t n) const {
 void Tracer::clear() {
   head_ = 0;
   count_ = 0;
-}
-
-void Tracer::save_state(snapshot::StateWriter& w) const {
-  w.section("tracer");
-  w.u64(seq_);
-  const std::vector<TraceRecord> records = last(count_);
-  w.u64(records.size());
-  for (const TraceRecord& rec : records) {
-    w.i64(rec.at);
-    w.u64(rec.seq);
-    w.i64(rec.a);
-    w.i64(rec.b);
-    w.i64(rec.c);
-    w.i64(rec.node);
-    w.u32(static_cast<std::uint32_t>(rec.category));
-    w.u32(static_cast<std::uint32_t>(rec.kind));
-  }
-}
-
-void Tracer::restore_state(snapshot::StateReader& r) {
-  r.section("tracer");
-  clear();
-  seq_ = r.u64();
-  // Rewrite the ring directly (no listener notification: restore replays
-  // state, it does not re-emit events).
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    TraceRecord& rec = ring_[head_];
-    rec.at = r.i64();
-    rec.seq = r.u64();
-    rec.a = r.i64();
-    rec.b = r.i64();
-    rec.c = r.i64();
-    rec.node = static_cast<std::int32_t>(r.i64());
-    rec.category = static_cast<Category>(r.u32());
-    rec.kind = static_cast<Kind>(r.u32());
-    head_ = head_ + 1 == ring_.size() ? 0 : head_ + 1;
-    if (count_ < ring_.size()) ++count_;
-  }
 }
 
 std::string format_record(const TraceRecord& record) {

@@ -9,11 +9,6 @@
 #include "availsim/sim/simulator.hpp"
 #include "availsim/sim/time.hpp"
 
-namespace availsim::snapshot {
-class StateReader;
-class StateWriter;
-}  // namespace availsim::snapshot
-
 namespace availsim::trace {
 
 /// Subsystem categories, usable as a bitmask for filtering. A Tracer only
@@ -179,18 +174,13 @@ class Tracer {
   void export_text(std::ostream& out) const;
   void export_jsonl(std::ostream& out) const;
 
-  /// --- snapshot support (retained records and the emission counter;
-  /// listeners and mask are wiring and stay untouched) ---
-  void save_state(snapshot::StateWriter& writer) const;
-  void restore_state(snapshot::StateReader& reader);
-
  private:
-  TracerOptions options_;  // availlint: snap-skip(construction-time options; the mask is harness wiring)
-  std::vector<TraceRecord> ring_;  // availlint: snap-skip(pre-allocated storage; restore rewrites slots from the record stream)
-  std::size_t head_ = 0;  // next write slot; availlint: snap-skip(cursor recomputed as restore replays the records)
+  TracerOptions options_;
+  std::vector<TraceRecord> ring_;
+  std::size_t head_ = 0;  // next write slot
   std::size_t count_ = 0;  // retained records (<= capacity)
   std::uint64_t seq_ = 0;
-  std::vector<TraceListener*> listeners_;  // availlint: snap-skip(wiring hooks, re-established at construction)
+  std::vector<TraceListener*> listeners_;
 };
 
 /// `<at> <category> <kind> node=<n> a=<a> b=<b> c=<c>` (golden-trace form).

@@ -1,11 +1,9 @@
 #include "availsim/workload/client.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cassert>
 #include <utility>
 
-#include "availsim/snapshot/state_io.hpp"
 #include "availsim/trace/trace.hpp"
 
 namespace availsim::workload {
@@ -128,62 +126,6 @@ void Client::fail(std::uint64_t request_id, FailureReason reason) {
               self_.id(), static_cast<std::int64_t>(request_id),
               static_cast<std::int64_t>(reason));
   recorder_.record_failure(reason);
-}
-
-void Client::save_state(snapshot::StateWriter& w) const {
-  w.section("client:" + self_.name());
-  w.u64(destinations_.size());
-  for (net::NodeId n : destinations_) w.i64(n);
-  w.i64(dst_port_);
-  w.u64(rr_);
-  w.boolean(running_);
-  w.u64(next_request_id_);
-  // Open requests only, ascending id.
-  w.u64(outstanding_);
-  std::uint64_t id = next_request_id_ - pending_.size();
-  for (const Pending& p : pending_) {
-    if (p.open) {
-      w.u64(id);
-      w.u64(p.connect_check);
-      w.u64(p.completion_timeout);
-      w.i64(p.dst);
-    }
-    ++id;
-  }
-  for (std::uint64_t word : rng_.state()) w.u64(word);
-  w.u64(rng_.stream_seed());
-}
-
-void Client::restore_state(snapshot::StateReader& r) {
-  r.section("client:" + self_.name());
-  destinations_.clear();
-  for (std::uint64_t i = 0, n = r.u64(); i < n; ++i) {
-    destinations_.push_back(static_cast<net::NodeId>(r.i64()));
-  }
-  dst_port_ = static_cast<int>(r.i64());
-  rr_ = r.u64();
-  running_ = r.boolean();
-  next_request_id_ = r.u64();
-  outstanding_ = r.u64();
-  pending_.clear();
-  // Rebuild the ring from the first open id: closed ids between open ones
-  // come back as closed entries, and the ring is padded up to
-  // next_request_id_ so the next request's id lands at its back.
-  std::uint64_t base = next_request_id_;
-  for (std::uint64_t i = 0; i < outstanding_; ++i) {
-    const std::uint64_t id = r.u64();
-    if (i == 0) base = id;
-    pending_.resize(static_cast<std::size_t>(id - base));
-    Pending& p = pending_.emplace_back();
-    p.connect_check = r.u64();
-    p.completion_timeout = r.u64();
-    p.dst = static_cast<net::NodeId>(r.i64());
-    p.open = true;
-  }
-  pending_.resize(static_cast<std::size_t>(next_request_id_ - base));
-  std::array<std::uint64_t, 4> s{};
-  for (std::uint64_t& word : s) word = r.u64();
-  rng_.restore_state(s, r.u64());
 }
 
 }  // namespace availsim::workload

@@ -10,11 +10,6 @@
 #include "availsim/workload/recorder.hpp"
 #include "availsim/workload/popularity.hpp"
 
-namespace availsim::snapshot {
-class StateReader;
-class StateWriter;
-}  // namespace availsim::snapshot
-
 namespace availsim::workload {
 
 /// An open-loop HTTP client: requests arrive as a Poisson process with a
@@ -48,11 +43,6 @@ class Client {
   std::size_t outstanding() const { return outstanding_; }
   std::uint64_t requests_sent() const { return next_request_id_; }
 
-  /// --- snapshot support (pending-request EventIds stay valid because the
-  /// simulator restores its slot table exactly) ---
-  void save_state(snapshot::StateWriter& writer) const;
-  void restore_state(snapshot::StateReader& reader);
-
  private:
   struct Pending {
     sim::EventId connect_check = sim::kInvalidEvent;
@@ -75,7 +65,7 @@ class Client {
   net::Network& net_;
   net::Host& self_;
   sim::Rng rng_;
-  Params params_;  // availlint: snap-skip(construction-time workload config)
+  Params params_;
   const Popularity& popularity_;
   Recorder& recorder_;
   std::vector<net::NodeId> destinations_;

@@ -4,8 +4,6 @@
 #include <cassert>
 #include <limits>
 
-#include "availsim/snapshot/state_io.hpp"
-
 namespace availsim::workload {
 
 Recorder::Recorder(sim::Simulator& simulator, sim::Time bin_width)
@@ -81,45 +79,6 @@ double Recorder::availability(sim::Time from, sim::Time to) const {
   if (offered == 0) return std::numeric_limits<double>::quiet_NaN();
   return static_cast<double>(successes_in(from, to)) /
          static_cast<double>(offered);
-}
-
-namespace {
-
-void save_bins(snapshot::StateWriter& w,
-               const std::vector<std::uint32_t>& bins) {
-  w.u64(bins.size());
-  for (std::uint32_t v : bins) w.u32(v);
-}
-
-void restore_bins(snapshot::StateReader& r, std::vector<std::uint32_t>& bins) {
-  bins.clear();
-  const std::uint64_t n = r.u64();
-  bins.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) bins.push_back(r.u32());
-}
-
-}  // namespace
-
-void Recorder::save_state(snapshot::StateWriter& w) const {
-  w.section("recorder");
-  save_bins(w, success_);
-  save_bins(w, offered_);
-  save_bins(w, failed_);
-  w.u64(total_offered_);
-  w.u64(total_success_);
-  w.u64(total_failed_);
-  for (std::uint64_t v : by_reason_) w.u64(v);
-}
-
-void Recorder::restore_state(snapshot::StateReader& r) {
-  r.section("recorder");
-  restore_bins(r, success_);
-  restore_bins(r, offered_);
-  restore_bins(r, failed_);
-  total_offered_ = r.u64();
-  total_success_ = r.u64();
-  total_failed_ = r.u64();
-  for (std::uint64_t& v : by_reason_) v = r.u64();
 }
 
 }  // namespace availsim::workload

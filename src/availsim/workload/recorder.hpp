@@ -6,11 +6,6 @@
 #include "availsim/sim/simulator.hpp"
 #include "availsim/sim/time.hpp"
 
-namespace availsim::snapshot {
-class StateReader;
-class StateWriter;
-}  // namespace availsim::snapshot
-
 namespace availsim::workload {
 
 enum class FailureReason {
@@ -63,17 +58,13 @@ class Recorder {
     return by_reason_[static_cast<int>(reason)];
   }
 
-  /// --- snapshot support ---
-  void save_state(snapshot::StateWriter& writer) const;
-  void restore_state(snapshot::StateReader& reader);
-
  private:
   std::size_t bin_index_now();
   std::uint64_t sum(const std::vector<std::uint32_t>& bins, sim::Time from,
                     sim::Time to) const;
 
   sim::Simulator& sim_;
-  sim::Time bin_width_;  // availlint: snap-skip(construction-time histogram geometry)
+  sim::Time bin_width_;
   std::vector<std::uint32_t> success_;
   std::vector<std::uint32_t> offered_;
   std::vector<std::uint32_t> failed_;

@@ -158,6 +158,17 @@ TEST(AvailLint, StdFunctionFlaggedOnlyInSim) {
   EXPECT_EQ(count_rule(in_press, "det-std-function"), 0) << dump(in_press);
 }
 
+TEST(AvailLint, StdFunctionFlaggedInDisk) {
+  // Disk completions are sim::EventFn; the shipped rules keep
+  // std::function out of disk/ as well.
+  const auto diags = lint_one("src/availsim/disk/callbacks.cpp",
+                              "det_std_function_bad.cpp.fixture");
+  EXPECT_EQ(
+      count_rule(diags, "det-std-function", "src/availsim/disk/callbacks.cpp", 5),
+      1)
+      << dump(diags);
+}
+
 // ---------------------------------------------------------------------------
 // Unordered iteration
 // ---------------------------------------------------------------------------
@@ -174,19 +185,6 @@ TEST(AvailLint, UnorderedIterationFlaggedInOrderedDomain) {
       << dump(diags);
   EXPECT_EQ(count_rule(diags, "det-unordered-iter",
                        "src/availsim/press/table.cpp", 17),
-            1)
-      << dump(diags);
-}
-
-TEST(AvailLint, SortedWrapperRangesAreOrderedByConstruction) {
-  // snapshot::sorted_keys / sorted_values copy the keys/values out and
-  // sort them; ranging over them needs no suppression. The bare range
-  // over the same member is still a finding.
-  const auto diags = lint_one("src/availsim/press/checksum.cpp",
-                              "unordered_iter_sorted_wrapper.cpp.fixture");
-  EXPECT_EQ(count_rule(diags, "det-unordered-iter"), 1) << dump(diags);
-  EXPECT_EQ(count_rule(diags, "det-unordered-iter",
-                       "src/availsim/press/checksum.cpp", 16),
             1)
       << dump(diags);
 }
@@ -344,13 +342,10 @@ TEST(AvailLint, IostreamAllowedInHarnessBenchTools) {
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot coverage (snap-class / snap-field / snap-order) — mutation style:
-// the clean header/.cpp pair is silent, and single-line deletions, reorders,
-// and blanked reasons each flip it to failing (and only the mutated line).
+// Hot-path allocation lint (hot-alloc)
 // ---------------------------------------------------------------------------
 
-constexpr const char* kGaugeHpp = "src/availsim/press/gauge.hpp";
-constexpr const char* kGaugeCpp = "src/availsim/press/gauge.cpp";
+constexpr const char* kPumpCpp = "src/availsim/press/pump.cpp";
 
 // Applies a single-line mutation: replaces `from` (exactly once) with `to`.
 std::string mutate(std::string text, const std::string& from,
@@ -362,121 +357,6 @@ std::string mutate(std::string text, const std::string& from,
   text.replace(at, from.size(), to);
   return text;
 }
-
-std::vector<Diagnostic> lint_pair(const std::string& hpp_text,
-                                  const std::string& cpp_text) {
-  Engine engine(repo_config());
-  engine.add_file(kGaugeHpp, hpp_text);
-  engine.add_file(kGaugeCpp, cpp_text);
-  return engine.run();
-}
-
-TEST(AvailLintSnap, CleanPairIsSilentAndSkipIsLedgered) {
-  Engine engine(repo_config());
-  engine.add_file(kGaugeHpp, fixture("snap_pair.hpp.fixture"));
-  engine.add_file(kGaugeCpp, fixture("snap_pair.cpp.fixture"));
-  const auto diags = engine.run();
-  EXPECT_TRUE(diags.empty()) << dump(diags);
-  // The reasoned snap-skip on cached_sum_ lands in the suppression ledger.
-  bool ledgered = false;
-  for (const auto& s : engine.suppressions()) {
-    if (s.rule == "snap-field" && s.file == kGaugeHpp &&
-        s.reason.find("recomputed") != std::string::npos) {
-      ledgered = true;
-    }
-  }
-  EXPECT_TRUE(ledgered);
-}
-
-TEST(AvailLintSnap, DeletedSaveLineFlagsFieldAsNeverSaved) {
-  const auto diags = lint_pair(
-      fixture("snap_pair.hpp.fixture"),
-      mutate(fixture("snap_pair.cpp.fixture"), "  w.u64(count_);\n", ""));
-  ASSERT_EQ(count_rule(diags, "snap-field"), 1) << dump(diags);
-  EXPECT_NE(diags[0].message.find("count_"), std::string::npos) << dump(diags);
-  EXPECT_NE(diags[0].message.find("never saved"), std::string::npos)
-      << dump(diags);
-}
-
-TEST(AvailLintSnap, DeletedRestoreLineFlagsFieldAsNeverRestored) {
-  const auto diags = lint_pair(
-      fixture("snap_pair.hpp.fixture"),
-      mutate(fixture("snap_pair.cpp.fixture"), "  count_ = r.u64();\n", ""));
-  ASSERT_EQ(count_rule(diags, "snap-field"), 1) << dump(diags);
-  EXPECT_NE(diags[0].message.find("never restored"), std::string::npos)
-      << dump(diags);
-}
-
-TEST(AvailLintSnap, ReorderedRestoreLinesFlagOrderMismatch) {
-  const auto diags = lint_pair(
-      fixture("snap_pair.hpp.fixture"),
-      mutate(fixture("snap_pair.cpp.fixture"),
-             "  count_ = r.u64();\n  last_ = r.i64();\n",
-             "  last_ = r.i64();\n  count_ = r.u64();\n"));
-  EXPECT_EQ(count_rule(diags, "snap-order"), 1) << dump(diags);
-}
-
-TEST(AvailLintSnap, BlankSkipReasonIsRejected) {
-  const auto diags = lint_pair(
-      mutate(fixture("snap_pair.hpp.fixture"),
-             "snap-skip(recomputed from the samples on first read)",
-             "snap-skip()"),
-      fixture("snap_pair.cpp.fixture"));
-  ASSERT_EQ(count_rule(diags, "snap-field"), 1) << dump(diags);
-  EXPECT_NE(diags[0].message.find("must give a reason"), std::string::npos)
-      << dump(diags);
-}
-
-TEST(AvailLintSnap, RemovedSkipAnnotationFlagsField) {
-  const auto diags = lint_pair(
-      mutate(fixture("snap_pair.hpp.fixture"),
-             "  // availlint: snap-skip(recomputed from the samples on first "
-             "read)",
-             ""),
-      fixture("snap_pair.cpp.fixture"));
-  ASSERT_EQ(count_rule(diags, "snap-field"), 1) << dump(diags);
-  EXPECT_NE(diags[0].message.find("cached_sum_"), std::string::npos)
-      << dump(diags);
-}
-
-TEST(AvailLintSnap, MissingPairFlagsStatefulClass) {
-  Engine engine(repo_config());
-  engine.add_file(
-      kGaugeHpp,
-      mutate(mutate(fixture("snap_pair.hpp.fixture"),
-                    "  void save_state(snapshot::StateWriter& writer) const;\n",
-                    ""),
-             "  void restore_state(snapshot::StateReader& reader);\n", ""));
-  const auto diags = engine.run();
-  EXPECT_EQ(count_rule(diags, "snap-class", kGaugeHpp), 1) << dump(diags);
-}
-
-TEST(AvailLintSnap, ExemptClassIsSilentAndLedgered) {
-  Config cfg = repo_config();
-  cfg.snap_exempt["Gauge"] = "test-only transient";
-  Engine engine(cfg);
-  engine.add_file(
-      kGaugeHpp,
-      mutate(mutate(fixture("snap_pair.hpp.fixture"),
-                    "  void save_state(snapshot::StateWriter& writer) const;\n",
-                    ""),
-             "  void restore_state(snapshot::StateReader& reader);\n", ""));
-  const auto diags = engine.run();
-  EXPECT_EQ(count_rule(diags, "snap-class"), 0) << dump(diags);
-  bool ledgered = false;
-  for (const auto& s : engine.suppressions()) {
-    if (s.rule == "snap-class" && s.reason == "test-only transient") {
-      ledgered = true;
-    }
-  }
-  EXPECT_TRUE(ledgered);
-}
-
-// ---------------------------------------------------------------------------
-// Hot-path allocation lint (hot-alloc)
-// ---------------------------------------------------------------------------
-
-constexpr const char* kPumpCpp = "src/availsim/press/pump.cpp";
 
 TEST(AvailLintHot, ReachableAllocationsFlaggedColdAndPlacementSilent) {
   const auto diags = lint_one(kPumpCpp, "hot_alloc_bad.cpp.fixture");
@@ -576,14 +456,14 @@ TEST(AvailLintHot, PassTimingsCoverEveryPass) {
   Engine engine(repo_config());
   engine.add_file(kPumpCpp, fixture("hot_alloc_bad.cpp.fixture"));
   (void)engine.run();
-  bool snap = false, hot = false;
+  std::vector<std::string> names;
   for (const auto& [name, ms] : engine.pass_timings()) {
-    if (name == "snap-coverage") snap = true;
-    if (name == "hot-alloc") hot = true;
+    names.push_back(name);
     EXPECT_GE(ms, 0.0);
   }
-  EXPECT_TRUE(snap);
-  EXPECT_TRUE(hot);
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "layer-table", "banned-tokens", "unordered-iter",
+                       "layering", "hygiene", "hot-alloc", "include-cycles"}));
 }
 
 // ---------------------------------------------------------------------------
@@ -605,12 +485,6 @@ TEST(AvailLint, RulesParserRejectsGarbage) {
   EXPECT_FALSE(
       availlint::parse_rules("allow wifi src/a\n", &cfg3, &error));
   EXPECT_NE(error.find("unknown allow key"), std::string::npos) << error;
-
-  // snap-exempt must carry a reason: a bare class name is a suppression
-  // with no audit trail, which is exactly what the pass exists to prevent.
-  Config cfg4;
-  EXPECT_FALSE(availlint::parse_rules("snap-exempt Gauge\n", &cfg4, &error));
-  EXPECT_NE(error.find("reason"), std::string::npos) << error;
 }
 
 TEST(AvailLint, CommentsAndStringsNeverTrigger) {

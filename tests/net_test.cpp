@@ -6,7 +6,6 @@
 #include "availsim/net/network.hpp"
 #include "availsim/sim/rng.hpp"
 #include "availsim/sim/simulator.hpp"
-#include "availsim/snapshot/state_io.hpp"
 
 namespace availsim::net {
 namespace {
@@ -117,28 +116,24 @@ TEST_F(NetTest, ReliableRefusedWhenPortUnbound) {
   EXPECT_TRUE(refused);
 }
 
-TEST_F(NetTest, RefusalCallbacksSurviveSnapshotAndParking) {
+TEST_F(NetTest, RefusalCallbacksFireOnceForParkedAndInFlightSends) {
   // A parked reliable send and one in flight both hold their refusal
-  // callbacks in the network's table, by index; a checkpoint must carry
-  // the table so every restored branch gets both RSTs exactly once.
-  int refused = 0;
+  // callbacks in the network's table, by index: each RST fires exactly
+  // once, and the flush leaves nothing parked.
+  int parked_refusals = 0;
+  int inflight_refusals = 0;
   net_.set_link_up(2, false);
-  send(0, 2, 1, /*reliable=*/true, [&refused] { refused += 1; });   // parks
-  send(0, 1, 2, /*reliable=*/true, [&refused] { refused += 10; });  // flies
-  snapshot::StateWriter w;
-  sim_.save_state(w);
-  net_.save_state(w);
-  const snapshot::Snapshot snap = std::move(w).finish();
-  for (int branch = 0; branch < 2; ++branch) {
-    snapshot::StateReader r(snap);
-    sim_.restore_state(r);
-    net_.restore_state(r);
-    refused = 0;
-    net_.set_link_up(2, true);  // flushes the parked send; no port is bound
-    sim_.run();
-    EXPECT_EQ(refused, 11) << "branch " << branch;
-    EXPECT_EQ(net_.parked_reliable(), 0u);
-  }
+  send(0, 2, 1, /*reliable=*/true, [&] { ++parked_refusals; });    // parks
+  send(0, 1, 2, /*reliable=*/true, [&] { ++inflight_refusals; });  // flies
+  sim_.run_until(sim::kSecond);
+  EXPECT_EQ(inflight_refusals, 1);
+  EXPECT_EQ(parked_refusals, 0);
+  EXPECT_EQ(net_.parked_reliable(), 1u);
+  net_.set_link_up(2, true);  // flushes the parked send; no port is bound
+  sim_.run();
+  EXPECT_EQ(parked_refusals, 1);
+  EXPECT_EQ(inflight_refusals, 1);
+  EXPECT_EQ(net_.parked_reliable(), 0u);
 }
 
 TEST_F(NetTest, ReliableSilentWhenHostDown) {

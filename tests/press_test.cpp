@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <list>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "availsim/press/cache.hpp"
@@ -11,7 +10,6 @@
 #include "availsim/qmon/qmon.hpp"
 #include "availsim/sim/flat.hpp"
 #include "availsim/sim/rng.hpp"
-#include "availsim/snapshot/state_io.hpp"
 
 namespace availsim::press {
 namespace {
@@ -133,12 +131,6 @@ class ReferenceLru {
       map_;
 };
 
-snapshot::Snapshot save_cache(const LruCache& cache) {
-  snapshot::StateWriter w;
-  cache.save_state(w);
-  return std::move(w).finish();
-}
-
 class LruOracleTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(LruOracleTest, MatchesListAndHashReference) {
@@ -172,16 +164,6 @@ TEST_P(LruOracleTest, MatchesListAndHashReference) {
     ASSERT_EQ(cache.contains(f), ref.contains(f)) << "op " << op;
     if (op % 5000 == 0) {
       ASSERT_EQ(cache.resident(), ref.resident()) << "op " << op;
-      // Round trip through a snapshot into a fresh cache, which carries
-      // on in place of the original: same MRU order, same image.
-      const snapshot::Snapshot snap = save_cache(cache);
-      LruCache restored(cap * kFileBytes, kFileBytes);
-      snapshot::StateReader r(snap);
-      restored.restore_state(r);
-      ASSERT_TRUE(r.exhausted());
-      ASSERT_EQ(restored.resident(), ref.resident()) << "op " << op;
-      ASSERT_EQ(save_cache(restored).image, snap.image) << "op " << op;
-      cache = std::move(restored);
     }
   }
   EXPECT_EQ(cache.resident(), ref.resident());
@@ -270,47 +252,6 @@ TEST(Directory, LoadTiesBreakOnInsertionOrder) {
   d.node_evicts(3, 5);
   d.node_caches(3, 5);  // re-announced: now last in line
   EXPECT_EQ(d.best_service_node(5, coop), 1);
-}
-
-TEST(Directory, SnapshotSkipsEmptiedFilesAndRoundTrips) {
-  Directory d;
-  d.node_caches(2, 9000);
-  d.node_caches(1, 9000);
-  d.node_caches(1, 12);
-  d.node_caches(4, 300);
-  d.node_evicts(4, 300);  // emptied: no longer a known file
-  d.set_load(2, 5);
-  snapshot::StateWriter w;
-  d.save_state(w);
-  const snapshot::Snapshot snap = std::move(w).finish();
-
-  // The image an ascending file -> nodes map would write: known files
-  // only, ascending id, replicas in insertion order.
-  snapshot::StateWriter want;
-  want.section("dir");
-  want.u64(2);
-  want.u64(12);
-  want.u64(1);
-  want.i64(1);
-  want.u64(9000);
-  want.u64(2);
-  want.i64(2);
-  want.i64(1);
-  want.u64(1);
-  want.i64(2);
-  want.i64(5);
-  EXPECT_EQ(snap.image, std::move(want).finish().image);
-
-  Directory restored;
-  snapshot::StateReader r(snap);
-  restored.restore_state(r);
-  EXPECT_TRUE(r.exhausted());
-  EXPECT_TRUE(restored.node_caches_file(1, 12));
-  EXPECT_FALSE(restored.node_caches_file(4, 300));
-  EXPECT_EQ(restored.load(2), 5);
-  snapshot::StateWriter again;
-  restored.save_state(again);
-  EXPECT_EQ(std::move(again).finish().image, snap.image);
 }
 
 }  // namespace

@@ -4,11 +4,13 @@
 #include <cstdint>
 #include <memory>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "availsim/sim/rng.hpp"
 #include "availsim/sim/simulator.hpp"
 #include "availsim/sim/time.hpp"
+#include "availsim/trace/trace.hpp"
 
 namespace availsim::sim {
 namespace {
@@ -45,6 +47,65 @@ TEST(Simulator, SameTimeEventsAreFifo) {
   }
   sim.run();
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[static_cast<size_t>(i)], i);
+}
+
+TEST(Simulator, EmptySimulatorHasNothingToStep) {
+  Simulator sim;
+  EXPECT_EQ(sim.now(), 0);
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_FALSE(sim.step());
+  EXPECT_EQ(sim.events_processed(), 0u);
+}
+
+TEST(Simulator, LateScheduledEventAtSharedInstantFiresAfterEarlierOnes) {
+  // Events scheduled for one instant fire in schedule order, however far
+  // apart in time they were scheduled: one added after the clock has
+  // moved, and one added by a handler running at that instant, both come
+  // after the events already queued there. A pre-existing id cancelled
+  // after the clock moved never fires.
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(50 * kSecond, [&] {
+    order.push_back(1);
+    sim.schedule_after(0, [&order] { order.push_back(5); });
+  });
+  const EventId doomed =
+      sim.schedule_at(50 * kSecond, [&order] { order.push_back(-1); });
+  sim.schedule_at(50 * kSecond, [&order] { order.push_back(2); });
+  sim.schedule_at(60 * kSecond, [&order] { order.push_back(6); });
+  sim.run_until(40 * kSecond);
+  sim.cancel(doomed);
+  sim.schedule_at(50 * kSecond, [&order] { order.push_back(3); });
+  sim.schedule_at(50 * kSecond, [&order] { order.push_back(4); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
+}
+
+TEST(Simulator, StepTraceCarriesEachEventsScheduleSeq) {
+  // With kSim traced, every step emits one record whose `a` field is the
+  // event's global schedule seq (1, 2, ... in schedule_at order), in
+  // (t, seq) firing order.
+  trace::TracerOptions topts;
+  topts.mask = static_cast<std::uint32_t>(trace::Category::kSim);
+  trace::Tracer tracer(topts);
+  Simulator sim;
+  sim.set_tracer(&tracer);
+  sim.schedule_at(3 * kSecond, [] {});  // seq 1
+  sim.schedule_at(1 * kSecond, [] {});  // seq 2
+  sim.schedule_at(2 * kSecond, [] {});  // seq 3
+  sim.schedule_at(1 * kSecond, [] {});  // seq 4
+  sim.run();
+  sim.set_tracer(nullptr);
+  std::vector<std::pair<Time, std::int64_t>> steps;
+  for (const trace::TraceRecord& rec : tracer.snapshot()) {
+    ASSERT_EQ(rec.kind, trace::Kind::kSimStep);
+    steps.emplace_back(rec.at, rec.a);
+  }
+  EXPECT_EQ(steps, (std::vector<std::pair<Time, std::int64_t>>{
+                       {1 * kSecond, 2},
+                       {1 * kSecond, 4},
+                       {2 * kSecond, 3},
+                       {3 * kSecond, 1}}));
 }
 
 TEST(Simulator, ScheduleAfterUsesCurrentTime) {

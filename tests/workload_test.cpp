@@ -1,12 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <array>
 #include <cmath>
 #include <memory>
 #include <vector>
 
 #include "availsim/net/network.hpp"
-#include "availsim/snapshot/state_io.hpp"
 #include "availsim/workload/client.hpp"
 #include "availsim/workload/recorder.hpp"
 #include "availsim/workload/zipf.hpp"
@@ -289,66 +287,6 @@ TEST_F(ClientFixture, LateReplyAfterCompletionTimeoutIsIgnored) {
   EXPECT_EQ(recorder_.total_success(), 0u);
   EXPECT_EQ(recorder_.total_failed(), n);
   EXPECT_EQ(client_->outstanding(), fresh);
-}
-
-TEST_F(ClientFixture, SnapshotRestoresRingWithClosedIdsBetweenOpenOnes) {
-  hold_all();
-  send_for(2.0);
-  const std::size_t n = held_.size();
-  ASSERT_GT(n, 20u);
-  // Close ids between open ones and the newest few, so the ring both has
-  // holes and ends in closed entries when the snapshot is taken.
-  for (std::uint64_t id : held_) {
-    if (id % 3 == 1 || id + 3 >= n) reply(id);
-  }
-  sim_.run_until(sim_.now() + 100 * sim::kMillisecond);
-  const std::size_t open = client_->outstanding();
-  ASSERT_GT(open, 0u);
-  ASSERT_LT(open, n);
-
-  auto save = [&] {
-    snapshot::StateWriter w;
-    sim_.save_state(w);
-    net_.save_state(w);
-    server_.save_state(w);
-    client_host_.save_state(w);
-    recorder_.save_state(w);
-    client_->save_state(w);
-    return std::move(w).finish();
-  };
-  const snapshot::Snapshot snap = save();
-  const std::vector<std::uint64_t> held_at_snapshot = held_;
-
-  // Reply to everything held (replies to closed ids are ignored), then
-  // serve fresh requests, whose ids continue past the closed tail.
-  auto branch = [&] {
-    for (std::uint64_t id : held_) reply(id);
-    serve_all();
-    send_for(3.0);
-    sim_.run_until(sim_.now() + 10 * sim::kSecond);
-    return std::array<std::uint64_t, 4>{
-        recorder_.total_offered(), recorder_.total_success(),
-        recorder_.total_failed(), client_->outstanding()};
-  };
-  const auto first = branch();
-  EXPECT_EQ(first[1], first[0]);  // every request succeeded
-  EXPECT_EQ(first[2], 0u);
-  EXPECT_EQ(first[3], 0u);
-
-  snapshot::StateReader r(snap);
-  sim_.restore_state(r);
-  net_.restore_state(r);
-  server_.restore_state(r);
-  client_host_.restore_state(r);
-  recorder_.restore_state(r);
-  client_->restore_state(r);
-  ASSERT_TRUE(r.exhausted());
-  held_ = held_at_snapshot;
-  EXPECT_EQ(client_->outstanding(), open);
-  EXPECT_EQ(client_->requests_sent(), n);
-  EXPECT_EQ(save().image, snap.image);
-
-  EXPECT_EQ(branch(), first);
 }
 
 TEST_F(ClientFixture, RecoveryAfterRepairResumesSuccesses) {

@@ -88,24 +88,6 @@ TagState find_tag(const std::string& comment, const std::string& tag,
   return TagState::kReasoned;
 }
 
-constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
-// First token index in fn's body referencing `name` as a direct identifier
-// (not a member access of some other object), or npos.
-std::size_t first_body_ref(const LexedFile& lex, const FunctionDef& fn,
-                           const std::string& name) {
-  const std::size_t end = std::min(fn.body_end, lex.tokens.size());
-  for (std::size_t j = fn.body_begin; j < end; ++j) {
-    const Token& t = lex.tokens[j];
-    if (!t.is_identifier || t.text != name) continue;
-    if (j > 0) {
-      const std::string& prev = lex.tokens[j - 1].text;
-      if (prev == "." || prev == "->") continue;
-    }
-    return j;
-  }
-  return npos;
-}
 
 }  // namespace
 
@@ -169,7 +151,6 @@ std::vector<Diagnostic> Engine::run() {
   timed("hygiene", [&] {
     for (const FileEntry& f : files_) check_hygiene(f);
   });
-  timed("snap-coverage", [&] { check_snapshot_coverage(); });
   timed("hot-alloc", [&] { check_hot_alloc(); });
   timed("include-cycles", [&] { check_include_cycles(); });
 
@@ -256,7 +237,8 @@ void Engine::check_banned_tokens(const FileEntry& f) {
     if (forbid_fn && t.text == "std" && next == "::" && i + 2 < toks.size() &&
         toks[i + 2].text == "function") {
       diag(f.path, toks[i + 2].line, "det-std-function",
-           "std::function in sim/ (use the SBO sim::EventFn instead)");
+           "std::function under a forbid-function path (use the SBO "
+           "sim::EventFn instead)");
     }
   }
 
@@ -356,19 +338,6 @@ void Engine::check_unordered_iteration(const FileEntry& f) {
 
     std::string container;
     if (colon != 0) {
-      // The snapshot layer's ordering wrappers (snapshot::sorted_keys /
-      // sorted_values, state_io.hpp) exist to make hash order safe: they
-      // copy the keys/values out and sort them. A range expression routed
-      // through either is ordered regardless of the container fed in.
-      bool sorted_wrapper = false;
-      for (std::size_t j = colon + 1; j < close && !sorted_wrapper; ++j) {
-        sorted_wrapper =
-            toks[j].is_identifier &&
-            (toks[j].text == "sorted_keys" ||
-             toks[j].text == "sorted_values") &&
-            j + 1 < close && toks[j + 1].text == "(";
-      }
-      if (sorted_wrapper) continue;
       // Range-for: flag when the range expression names an unordered
       // variable, calls an unordered-returning function, or spells an
       // unordered type inline.
@@ -561,182 +530,12 @@ void Engine::check_hygiene(const FileEntry& f) {
 }
 
 // ---------------------------------------------------------------------------
-// snap-coverage: snap-class / snap-field / snap-order
-// ---------------------------------------------------------------------------
-
-void Engine::check_snapshot_coverage() {
-  if (cfg_.snapshot_domains.empty()) return;
-
-  // Index every function definition by "Class::name" so a header's class
-  // can locate its save/restore bodies wherever the .cpp lives.
-  struct FnSite {
-    std::size_t file = 0;
-    const FunctionDef* fn = nullptr;
-  };
-  std::map<std::string, std::vector<FnSite>> defs;
-  for (std::size_t fi = 0; fi < files_.size(); ++fi) {
-    for (const FunctionDef& fn : files_[fi].structure.functions) {
-      if (fn.class_name.empty()) continue;
-      defs[fn.class_name + "::" + fn.name].push_back(FnSite{fi, &fn});
-    }
-  }
-
-  auto stem = [](const std::string& path) {
-    std::size_t slash = path.rfind('/');
-    std::size_t from = slash == std::string::npos ? 0 : slash + 1;
-    std::size_t dot = path.rfind('.');
-    if (dot == std::string::npos || dot < from) dot = path.size();
-    return path.substr(from, dot - from);
-  };
-  auto dir_of = [](const std::string& path) {
-    std::size_t slash = path.rfind('/');
-    return slash == std::string::npos ? std::string() : path.substr(0, slash);
-  };
-
-  // Prefer the definition in the header's own .cpp (same stem), then one in
-  // the same directory; the ranking keeps a nested helper class in another
-  // subsystem from shadowing the real body.
-  auto find_def = [&](const std::string& header, const std::string& cls,
-                      const std::string& name) -> FnSite {
-    auto it = defs.find(cls + "::" + name);
-    if (it == defs.end()) return FnSite{};
-    FnSite best;
-    int best_rank = -1;
-    for (const FnSite& site : it->second) {
-      const std::string& p = files_[site.file].path;
-      int rank = 0;
-      if (stem(p) == stem(header)) rank = 3;
-      else if (dir_of(p) == dir_of(header)) rank = 1;
-      if (rank > best_rank) {
-        best_rank = rank;
-        best = site;
-      }
-    }
-    return best;
-  };
-
-  for (const FileEntry& f : files_) {
-    if (!f.is_header || !under_any(f.path, cfg_.snapshot_domains)) continue;
-    for (const ClassInfo& cls : f.structure.classes) {
-      if (cls.nested || cls.fields.empty()) continue;
-
-      auto exempt = cfg_.snap_exempt.find(cls.name);
-      if (exempt != cfg_.snap_exempt.end()) {
-        suppressed_.push_back(SuppressedFinding{f.path, cls.line, "snap-class",
-                                                exempt->second});
-        continue;
-      }
-
-      if (!cls.declares_save && !cls.declares_restore) {
-        // Only classes with live state need the pair.  The repo convention:
-        // mutable state is a trailing-underscore member; everything else
-        // (messages, config structs, plain aggregates) is passive data.
-        std::vector<std::string> stateful;
-        for (const FieldInfo& fld : cls.fields) {
-          if (fld.is_reference || fld.name.empty() || fld.name.back() != '_') {
-            continue;
-          }
-          if (this->suppressed(f, fld.line, "snap-skip", "snap-field")) {
-            continue;
-          }
-          stateful.push_back(fld.name);
-        }
-        if (stateful.empty()) continue;
-        std::string list = stateful[0];
-        for (std::size_t k = 1; k < stateful.size() && k < 4; ++k) {
-          list += ", " + stateful[k];
-        }
-        if (stateful.size() > 4) list += ", ...";
-        diag(f.path, cls.line, "snap-class",
-             "class '" + cls.name + "' has stateful members (" + list +
-                 ") but no save_state/restore_state; implement the pair, "
-                 "annotate the fields with \"availlint: snap-skip(<reason>)\","
-                 " or declare \"snap-exempt " + cls.name +
-                 " <reason>\" in availlint.rules");
-        continue;
-      }
-      if (cls.declares_save != cls.declares_restore) {
-        diag(f.path, cls.line, "snap-class",
-             "class '" + cls.name + "' declares " +
-                 (cls.declares_save ? "save_state but not restore_state"
-                                    : "restore_state but not save_state") +
-                 "; snapshotting needs both sides");
-        continue;
-      }
-
-      const FnSite save = find_def(f.path, cls.name, "save_state");
-      const FnSite restore = find_def(f.path, cls.name, "restore_state");
-      if (save.fn == nullptr || restore.fn == nullptr) {
-        diag(f.path, cls.line, "snap-class",
-             "class '" + cls.name + "' declares save_state/restore_state but "
-             "availlint cannot find the " +
-                 std::string(save.fn == nullptr ? "save_state"
-                                                : "restore_state") +
-                 " definition in the scanned tree");
-        continue;
-      }
-      const LexedFile& save_lex = files_[save.file].lex;
-      const LexedFile& restore_lex = files_[restore.file].lex;
-
-      // Per-field accounting + save/restore visit order.
-      std::vector<std::pair<std::size_t, std::string>> save_seq, restore_seq;
-      for (const FieldInfo& fld : cls.fields) {
-        if (fld.is_reference) continue;  // rebinding impossible; always safe
-        const std::size_t in_save =
-            first_body_ref(save_lex, *save.fn, fld.name);
-        const std::size_t in_restore =
-            first_body_ref(restore_lex, *restore.fn, fld.name);
-        if (in_save == npos || in_restore == npos) {
-          if (this->suppressed(f, fld.line, "snap-skip", "snap-field")) {
-            continue;
-          }
-          std::string what;
-          if (in_save == npos && in_restore == npos) {
-            what = "is neither saved nor restored; thread it through both, "
-                   "or annotate the declaration with "
-                   "\"availlint: snap-skip(<reason>)\" if it is derived or "
-                   "rebuilt state";
-          } else if (in_restore == npos) {
-            what = "is saved by save_state but never restored — a restored "
-                   "run silently keeps the pre-restore value";
-          } else {
-            what = "is restored by restore_state but never saved — restore "
-                   "reads bytes some other field wrote";
-          }
-          diag(f.path, fld.line, "snap-field",
-               "field '" + cls.name + "::" + fld.name + "' " + what);
-          continue;
-        }
-        save_seq.emplace_back(in_save, fld.name);
-        restore_seq.emplace_back(in_restore, fld.name);
-      }
-
-      std::sort(save_seq.begin(), save_seq.end());
-      std::sort(restore_seq.begin(), restore_seq.end());
-      for (std::size_t k = 0;
-           k < save_seq.size() && k < restore_seq.size(); ++k) {
-        if (save_seq[k].second == restore_seq[k].second) continue;
-        diag(f.path, cls.line, "snap-order",
-             "class '" + cls.name + "' saves and restores its fields in "
-             "different orders: position " + std::to_string(k + 1) +
-                 " is '" + save_seq[k].second + "' in save_state but '" +
-                 restore_seq[k].second +
-                 "' in restore_state (the binary image is positional; "
-                 "mismatched order shears every later field)");
-        break;
-      }
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
 // hot-alloc
 // ---------------------------------------------------------------------------
 
 void Engine::check_hot_alloc() {
   if (cfg_.hot_paths.empty()) return;
-  const std::vector<std::string>& domains =
-      cfg_.hot_domains.empty() ? cfg_.snapshot_domains : cfg_.hot_domains;
+  const std::vector<std::string>& domains = cfg_.hot_domains;
 
   // Function table over the hot domains.  Reachability is name-based and
   // deliberately over-approximate: any identifier followed by '(' inside a

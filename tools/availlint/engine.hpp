@@ -16,18 +16,7 @@
 //   det-unordered-iter  range-for / iterator loop over an
 //                       unordered_{map,set} inside ordered-domain paths,
 //                       unless the for's line carries
-//                       "availlint: ordered-ok(<reason>)" or the range
-//                       goes through snapshot::sorted_keys/sorted_values
-//   snap-class          class under a snapshot-domain with stateful
-//                       members but no save_state/restore_state pair (and
-//                       no snap-exempt rules entry), or with only one of
-//                       the two declared
-//   snap-field          member field declared in the header but missing
-//                       from the save_state and/or restore_state body,
-//                       unless the declaration carries
-//                       "availlint: snap-skip(<reason>)"
-//   snap-order          save_state and restore_state visit the shared
-//                       fields in different orders
+//                       "availlint: ordered-ok(<reason>)"
 //   hot-alloc           heap allocation (new/make_unique/make_shared),
 //                       std::function construction (explicit, or an
 //                       inline lambda passed to a std::function
@@ -113,7 +102,6 @@ class Engine {
   void check_hygiene(const FileEntry& f);
   void check_layer_table_acyclic();
   void check_include_cycles();
-  void check_snapshot_coverage();
   void check_hot_alloc();
 
   void diag(const std::string& file, int line, const std::string& rule,

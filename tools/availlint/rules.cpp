@@ -100,22 +100,6 @@ bool parse_rules(const std::string& text, Config* out, std::string* error) {
       std::string prefix;
       if (!(ls >> prefix)) return fail("exempt-layering needs a prefix");
       out->exempt_layering.push_back(prefix);
-    } else if (directive == "snapshot-domain") {
-      std::string prefix;
-      if (!(ls >> prefix)) return fail("snapshot-domain needs a prefix");
-      out->snapshot_domains.push_back(prefix);
-    } else if (directive == "snap-exempt") {
-      std::string cls;
-      if (!(ls >> cls)) return fail("snap-exempt needs <class> <reason>");
-      std::string reason;
-      std::getline(ls, reason);
-      std::size_t p = reason.find_first_not_of(" \t");
-      reason = p == std::string::npos ? std::string() : reason.substr(p);
-      if (reason.empty()) {
-        return fail("snap-exempt " + cls +
-                    " needs a reason (why is the class transient?)");
-      }
-      out->snap_exempt[cls] = reason;
     } else if (directive == "hot-path") {
       std::string name;
       if (!(ls >> name)) return fail("hot-path needs a function name");

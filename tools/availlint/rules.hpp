@@ -15,11 +15,6 @@
 //   ordered-domain <path-prefix>  det-unordered-iter applies under these
 //   forbid-function <path-prefix> det-std-function applies under these
 //   exempt-layering <path-prefix> files exempt from layer checks
-//   snapshot-domain <path-prefix> snap-coverage applies to headers under
-//                                 these (field accounting between class
-//                                 declarations and save/restore bodies)
-//   snap-exempt <Class> <reason>  whole class is intentionally transient:
-//                                 no snapshot accounting; reason required
 //   hot-path <name>               hot-alloc roster root: a function name,
 //                                 optionally qualified (Class::method)
 //   hot-domain <path-prefix>      hot-alloc findings reported under these
@@ -47,9 +42,6 @@ struct Config {
   std::vector<std::string> ordered_domains;
   std::vector<std::string> forbid_function;
   std::vector<std::string> exempt_layering;
-  std::vector<std::string> snapshot_domains;
-  // class name -> reason it is exempt from snapshot accounting.
-  std::map<std::string, std::string> snap_exempt;
   std::vector<std::string> hot_paths;
   std::vector<std::string> hot_domains;
 

@@ -198,7 +198,6 @@ struct Parser {
   }
 
   std::size_t parse_class(std::size_t i) {
-    const int class_line = toks[i].line;
     std::size_t j = i + 1;
     while (text(j) == "[") j = skip_balanced(j);  // [[attributes]]
     std::string name;
@@ -220,8 +219,6 @@ struct Parser {
     }
     ClassInfo info;
     info.name = name;
-    info.line = class_line;
-    info.nested = scopes.back().kind == Scope::kClass;
     out.classes.push_back(std::move(info));
     Scope s;
     s.kind = Scope::kClass;
@@ -243,7 +240,6 @@ struct Parser {
       // Segment [seg_start, k).
       std::size_t name_idx = npos;
       std::size_t type_idx = npos;
-      bool is_ref = false;
       bool node = false;
       bool map_like = false;
       for (std::size_t m = seg_start; m < k; ++m) {
@@ -256,7 +252,6 @@ struct Parser {
           if (node_container_types().count(text(ti))) node = true;
           if (map_like_types().count(text(ti))) map_like = true;
         }
-        if (text(ti) == "&" || text(ti) == "&&") is_ref = true;
       }
       // The first declarator needs at least a type and a name; later ones
       // (`int a_, b_;`) are just a name.
@@ -267,8 +262,6 @@ struct Parser {
       if (name_idx != npos && k - seg_start >= min_tokens) {
         FieldInfo f;
         f.name = text(name_idx);
-        f.line = toks[name_idx].line;
-        f.is_reference = is_ref;
         f.node_container = node;
         f.map_like = map_like;
         f.type = type;
@@ -354,7 +347,6 @@ struct Parser {
     // ';'-terminated statement.
     if (fn_paren != npos || has_operator) {
       record_signature(fn_paren);
-      if (in_class) note_member_function(fn_paren, scope.class_index);
       return j;
     }
     if (in_class && !has_static && !decl.empty()) {
@@ -368,14 +360,6 @@ struct Parser {
     if (fn_paren == npos || fn_paren == 0) return std::string();
     const std::size_t ni = fn_paren - 1;
     return is_ident(ni) ? text(ni) : std::string();
-  }
-
-  void note_member_function(std::size_t fn_paren, int class_index) {
-    if (class_index < 0) return;
-    const std::string name = function_name(fn_paren);
-    ClassInfo& cls = out.classes[static_cast<std::size_t>(class_index)];
-    if (name == "save_state") cls.declares_save = true;
-    if (name == "restore_state") cls.declares_restore = true;
   }
 
   // body_open is the '{' of a function definition whose parameter list
@@ -395,9 +379,6 @@ struct Parser {
     fd.body_end = past > 0 ? past - 1 : past;
     if (scope.kind == Scope::kClass && scope.class_index >= 0) {
       fd.class_name = out.classes[static_cast<std::size_t>(scope.class_index)].name;
-      ClassInfo& cls = out.classes[static_cast<std::size_t>(scope.class_index)];
-      if (name == "save_state") cls.declares_save = true;
-      if (name == "restore_state") cls.declares_restore = true;
     } else if (fn_paren >= 3 && text(fn_paren - 2) == "::" &&
                is_ident(fn_paren - 3)) {
       fd.class_name = text(fn_paren - 3);

@@ -1,22 +1,19 @@
 #pragma once
 // availlint structural parser: recovers just enough C++ structure from the
-// lexer's token stream for the semantic passes — class/struct scopes with
+// lexer's token stream for the hot-alloc pass — class/struct scopes with
 // their member-field declarations, and function definitions with their
 // body token ranges.
 //
 // It is not a C++ parser.  It is a single linear scan with an explicit
 // scope stack, exact about the constructs this repo actually writes
 // (nested classes, template members, constructor initializer lists,
-// brace-initialized members, trailing-underscore field convention) and
-// deliberately lenient about everything else: a construct it cannot
-// classify is skipped, never misread as a field.
+// brace-initialized members) and deliberately lenient about everything
+// else: a construct it cannot classify is skipped, never misread as a
+// field.
 //
-// Consumers:
-//   * snap-coverage matches each class's declared fields against the
-//     identifiers referenced in its save_state / restore_state bodies;
-//   * hot-alloc walks call edges between function bodies starting from
-//     the declared hot-path roster, and uses the recorded parameter and
-//     field types to spot lambdas converted to std::function.
+// Consumer: hot-alloc walks call edges between function bodies starting
+// from the declared hot-path roster, and uses the recorded parameter and
+// field types to spot lambdas converted to std::function.
 
 #include <cstddef>
 #include <string>
@@ -28,9 +25,6 @@ namespace availlint {
 
 struct FieldInfo {
   std::string name;
-  int line = 0;          // declaration line (1-based)
-  bool is_reference = false;  // T& / T&& member: rebinding is impossible, so
-                              // snapshot accounting exempts it automatically
   // Declared type is a node-per-element container (map/set/list and the
   // unordered_* family): insertion allocates on every call.
   bool node_container = false;
@@ -42,11 +36,7 @@ struct FieldInfo {
 
 struct ClassInfo {
   std::string name;  // unqualified
-  int line = 0;      // line of the class/struct keyword
-  bool nested = false;  // declared inside another class/struct
   std::vector<FieldInfo> fields;
-  bool declares_save = false;     // member save_state(...) declared/defined
-  bool declares_restore = false;  // member restore_state(...) declared/defined
 };
 
 struct FunctionDef {
