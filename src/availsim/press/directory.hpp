@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -37,16 +38,32 @@ class Directory {
   std::size_t files_known_for(net::NodeId node) const;
 
  private:
-  /// The replicas known for `file`, or nullptr when there are none.
-  const std::vector<net::NodeId>* replicas(workload::FileId file) const;
+  static constexpr std::uint32_t kNone = UINT32_MAX;
 
-  // FileId -> caching nodes, indexed directly by the dense file id and
-  // grown to the largest id seen; an empty vector means "no known
-  // replica". Vectors stay tiny (few replicas per file) and keep
-  // insertion order, which breaks best_service_node's load ties.
-  std::vector<std::vector<net::NodeId>> where_;
-  // node -> last piggybacked load; cluster-sized, scanned per forward.
-  sim::FlatMap<net::NodeId, int> loads_;
+  // One known replica: a link in its file's singly linked list.
+  struct Entry {
+    net::NodeId node;
+    std::uint32_t next;
+  };
+
+  /// The first entry of `file`'s list, or kNone when none is known.
+  std::uint32_t first(workload::FileId file) const;
+  /// Unlinks `node`'s entry from the list that starts at `head`, if it
+  /// has one, and frees it.
+  void unlink(std::uint32_t& head, net::NodeId node);
+
+  // FileId -> first entry of the file's replica list in entries_, indexed
+  // directly by the dense file id and grown to the largest id seen; kNone
+  // means "no known replica". Lists stay tiny (few replicas per file) and
+  // keep insertion order, which breaks best_service_node's load ties.
+  std::vector<std::uint32_t> head_;
+  // The pool every list draws from; freed entries chain through `next`
+  // from free_, so steady insert/evict traffic allocates nothing.
+  std::vector<Entry> entries_;
+  std::uint32_t free_ = kNone;
+  // NodeId -> last piggybacked load, grown to the largest id seen; a node
+  // never heard from reads 0.
+  std::vector<int> loads_;
 };
 
 }  // namespace availsim::press

@@ -5,37 +5,13 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "availsim/sim/simulator.hpp"
 #include "availsim/trace/trace.hpp"
-
-// Global allocation counter: every operator new in the test binary bumps
-// it, so a window with a stable count proves a code path allocated nothing.
-// The replacement pair is malloc/free-based by design; GCC's pairing
-// heuristic cannot see that and warns spuriously.
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t size) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace availsim {
 namespace {
@@ -156,11 +132,11 @@ TEST(TracerTest, EmitNeverAllocates) {
 
   // 1) No tracer attached: the inline helper is a pointer load + branch.
   sim.schedule_at(1, [&] {
-    const auto before = g_allocs.load(std::memory_order_relaxed);
+    const auto before = allocation_count();
     for (int i = 0; i < 1000; ++i) {
       trace::emit(sim, Category::kQmon, Kind::kQueuePush, 0, i, 0, 0);
     }
-    EXPECT_EQ(g_allocs.load(std::memory_order_relaxed), before)
+    EXPECT_EQ(allocation_count(), before)
         << "emit with no tracer attached allocated";
   });
   sim.run();
@@ -170,11 +146,11 @@ TEST(TracerTest, EmitNeverAllocates) {
       TracerOptions{static_cast<std::uint32_t>(Category::kPress), 1 << 12});
   sim.set_tracer(&masked);
   sim.schedule_at(2, [&] {
-    const auto before = g_allocs.load(std::memory_order_relaxed);
+    const auto before = allocation_count();
     for (int i = 0; i < 1000; ++i) {
       trace::emit(sim, Category::kQmon, Kind::kQueuePush, 0, i, 0, 0);
     }
-    EXPECT_EQ(g_allocs.load(std::memory_order_relaxed), before)
+    EXPECT_EQ(allocation_count(), before)
         << "emit of a masked-out category allocated";
   });
   sim.run();
@@ -185,11 +161,11 @@ TEST(TracerTest, EmitNeverAllocates) {
   Tracer open(TracerOptions{trace::kProtocolCategories, 1 << 12});
   sim.set_tracer(&open);
   sim.schedule_at(3, [&] {
-    const auto before = g_allocs.load(std::memory_order_relaxed);
+    const auto before = allocation_count();
     for (int i = 0; i < 1000; ++i) {
       trace::emit(sim, Category::kQmon, Kind::kQueuePush, 0, i, 0, 0);
     }
-    EXPECT_EQ(g_allocs.load(std::memory_order_relaxed), before)
+    EXPECT_EQ(allocation_count(), before)
         << "retained emit allocated despite the preallocated ring";
   });
   sim.run();

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <list>
+#include <map>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "alloc_counter.hpp"
 #include "availsim/press/cache.hpp"
 #include "availsim/press/directory.hpp"
 #include "availsim/qmon/qmon.hpp"
@@ -252,6 +255,185 @@ TEST(Directory, LoadTiesBreakOnInsertionOrder) {
   d.node_evicts(3, 5);
   d.node_caches(3, 5);  // re-announced: now last in line
   EXPECT_EQ(d.best_service_node(5, coop), 1);
+}
+
+// Reference model: the per-file replica vectors and node -> load map that
+// the pooled lists and the dense load array replaced. The directory must
+// match it operation for operation, load ties included.
+class ReferenceDirectory {
+ public:
+  void node_caches(net::NodeId node, workload::FileId file) {
+    if (idx(file) >= where_.size()) where_.resize(idx(file) + 1);
+    auto& nodes = where_[idx(file)];
+    if (std::find(nodes.begin(), nodes.end(), node) == nodes.end()) {
+      nodes.push_back(node);
+    }
+  }
+
+  void node_evicts(net::NodeId node, workload::FileId file) {
+    if (idx(file) < where_.size()) std::erase(where_[idx(file)], node);
+  }
+
+  void set_load(net::NodeId node, int load) { loads_[node] = load; }
+
+  int load(net::NodeId node) const {
+    auto it = loads_.find(node);
+    return it == loads_.end() ? 0 : it->second;
+  }
+
+  void remove_node(net::NodeId node) {
+    loads_.erase(node);
+    for (auto& nodes : where_) std::erase(nodes, node);
+  }
+
+  void install_snapshot(net::NodeId node,
+                        const std::vector<workload::FileId>& files) {
+    for (auto f : files) node_caches(node, f);
+  }
+
+  std::optional<net::NodeId> best_service_node(
+      workload::FileId file, const sim::FlatSet<net::NodeId>& coop) const {
+    std::optional<net::NodeId> best;
+    int best_load = 0;
+    for (net::NodeId n : replicas(file)) {
+      if (!coop.contains(n)) continue;
+      if (!best || load(n) < best_load) {
+        best = n;
+        best_load = load(n);
+      }
+    }
+    return best;
+  }
+
+  bool node_caches_file(net::NodeId node, workload::FileId file) const {
+    const auto& nodes = replicas(file);
+    return std::find(nodes.begin(), nodes.end(), node) != nodes.end();
+  }
+
+  std::size_t files_known_for(net::NodeId node) const {
+    std::size_t n = 0;
+    for (const auto& nodes : where_) {
+      n += static_cast<std::size_t>(std::count(nodes.begin(), nodes.end(), node));
+    }
+    return n;
+  }
+
+  const std::vector<net::NodeId>& replicas(workload::FileId file) const {
+    static const std::vector<net::NodeId> kNoReplicas;
+    return idx(file) < where_.size() ? where_[idx(file)] : kNoReplicas;
+  }
+
+ private:
+  static std::size_t idx(workload::FileId f) { return static_cast<std::size_t>(f); }
+
+  std::vector<std::vector<net::NodeId>> where_;
+  std::map<net::NodeId, int> loads_;
+};
+
+class DirectoryOracleTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(DirectoryOracleTest, MatchesVectorAndMapReference) {
+  constexpr workload::FileId kFiles = 300;
+  constexpr int kOps = 30000;
+  const int nodes = GetParam();
+  Directory dir;
+  ReferenceDirectory ref;
+  sim::Rng rng(static_cast<std::uint64_t>(nodes));
+  const auto any_node = [&] {
+    return static_cast<net::NodeId>(rng.uniform_int(0, nodes - 1));
+  };
+  const auto any_file = [&] {
+    return static_cast<workload::FileId>(rng.uniform_int(0, kFiles - 1));
+  };
+  sim::FlatSet<net::NodeId> everyone;
+  for (net::NodeId n = 0; n < nodes; ++n) everyone.insert(n);
+
+  for (int op = 0; op < kOps; ++op) {
+    const double u = rng.uniform();
+    const workload::FileId f = any_file();
+    net::NodeId n = any_node();
+    if (u < 0.40) {
+      dir.node_caches(n, f);
+      ref.node_caches(n, f);
+    } else if (u < 0.75) {
+      // Mostly a replica the file has, from anywhere in its list, so
+      // unlinks hit the head, the middle and the tail.
+      const auto& known = ref.replicas(f);
+      if (!known.empty() && rng.bernoulli(0.8)) {
+        n = known[static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(known.size()) - 1))];
+      }
+      dir.node_evicts(n, f);
+      ref.node_evicts(n, f);
+    } else if (u < 0.95) {
+      // Loads from {0, 1, 2}: ties are common, so insertion order decides.
+      const int load = static_cast<int>(rng.uniform_int(0, 2));
+      dir.set_load(n, load);
+      ref.set_load(n, load);
+    } else if (u < 0.99) {
+      std::vector<workload::FileId> snap(
+          static_cast<std::size_t>(rng.uniform_int(0, 40)));
+      for (auto& s : snap) s = any_file();
+      dir.install_snapshot(n, snap);
+      ref.install_snapshot(n, snap);
+    } else {
+      dir.remove_node(n);
+      ref.remove_node(n);
+    }
+    // The touched file and node after every op, so a broken list shows
+    // before later ops can walk it.
+    ASSERT_EQ(dir.best_service_node(f, everyone),
+              ref.best_service_node(f, everyone)) << "op " << op;
+    ASSERT_EQ(dir.files_known_for(n), ref.files_known_for(n)) << "op " << op;
+    ASSERT_EQ(dir.load(n), ref.load(n)) << "op " << op;
+    if (op % 100 != 0) continue;
+    sim::FlatSet<net::NodeId> subset;
+    for (net::NodeId m = 0; m < nodes; ++m) {
+      if (rng.bernoulli(0.5)) subset.insert(m);
+    }
+    // One id past the files and nodes ever touched: unknown ids read as
+    // "no replica" and load 0.
+    for (workload::FileId g = 0; g <= kFiles; ++g) {
+      ASSERT_EQ(dir.best_service_node(g, everyone),
+                ref.best_service_node(g, everyone)) << "op " << op << " file " << g;
+      ASSERT_EQ(dir.best_service_node(g, subset),
+                ref.best_service_node(g, subset)) << "op " << op << " file " << g;
+      for (net::NodeId m = 0; m <= nodes; ++m) {
+        ASSERT_EQ(dir.node_caches_file(m, g), ref.node_caches_file(m, g))
+            << "op " << op << " node " << m << " file " << g;
+      }
+    }
+    for (net::NodeId m = 0; m <= nodes; ++m) {
+      ASSERT_EQ(dir.files_known_for(m), ref.files_known_for(m))
+          << "op " << op << " node " << m;
+      ASSERT_EQ(dir.load(m), ref.load(m)) << "op " << op << " node " << m;
+    }
+  }
+}
+
+// A 4-node cluster and a 32-node one plus its front-end's id.
+INSTANTIATE_TEST_SUITE_P(ClusterSizes, DirectoryOracleTest,
+                         ::testing::Values(5, 33));
+
+// A prewarmed directory at N=32 (PressNode::prewarm_cache: the whole
+// catalogue, owner f % 32, descending ids, the node's own share skipped)
+// lives in a few arrays. Allocating once per file, as per-file vectors
+// did, would cost about 25,000 allocations.
+TEST(Directory, PrewarmedBuildAllocatesOnlyToGrowItsArrays) {
+  constexpr int kNodes = 32;
+  constexpr workload::FileId kFiles = 26000;
+  constexpr net::NodeId kSelf = 5;
+  const std::uint64_t before = allocation_count();
+  Directory d;
+  for (workload::FileId f = kFiles - 1; f >= 0; --f) {
+    const net::NodeId owner = f % kNodes;
+    if (owner != kSelf) d.node_caches(owner, f);
+  }
+  const std::uint64_t allocs = allocation_count() - before;
+  EXPECT_LT(allocs, 64u);
+  EXPECT_EQ(d.files_known_for(kSelf), 0u);
+  EXPECT_EQ(d.files_known_for(kSelf + 1),
+            static_cast<std::size_t>(kFiles / kNodes + 1));
 }
 
 }  // namespace
