@@ -17,7 +17,6 @@
 #include "availsim/sim/simulator.hpp"
 #include "availsim/sim/time.hpp"
 
-#include "availsim/net/channel.hpp"
 #include "availsim/net/host.hpp"
 #include "availsim/net/network.hpp"
 #include "availsim/net/packet.hpp"

@@ -1,6 +1,8 @@
 #include "availsim/net/network.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <memory>
 #include <utility>
 
@@ -12,9 +14,12 @@ Network::Network(sim::Simulator& simulator, sim::Rng rng, NetworkParams params)
     : sim_(simulator), rng_(std::move(rng)), params_(std::move(params)) {}
 
 void Network::attach(Host& host) {
-  hosts_[host.id()] = &host;
-  link_up_[host.id()] = true;
-  link_free_[host.id()] = 0;
+  assert(host.id() >= 0);
+  const auto id = static_cast<std::size_t>(host.id());
+  if (id >= links_.size()) links_.resize(id + 1);
+  links_[id].host = &host;
+  links_[id].up = true;
+  links_[id].free_at = 0;
 }
 
 sim::Time Network::tx_time(std::size_t bytes) const {
@@ -22,10 +27,7 @@ sim::Time Network::tx_time(std::size_t bytes) const {
                                 params_.bandwidth_bps * sim::kSecond);
 }
 
-bool Network::link_up(NodeId id) const {
-  auto it = link_up_.find(id);
-  return it != link_up_.end() && it->second;
-}
+bool Network::link_up(NodeId id) const { return attached(id) && link(id).up; }
 
 bool Network::path_up(NodeId a, NodeId b) const {
   if (a == b) return true;  // loopback never touches the fabric
@@ -33,42 +35,34 @@ bool Network::path_up(NodeId a, NodeId b) const {
 }
 
 LinkQuality Network::link_quality(NodeId id) const {
-  auto it = quality_.find(id);
-  return it == quality_.end() ? LinkQuality{} : it->second;
+  return attached(id) ? link(id).quality : LinkQuality{};
 }
 
 void Network::set_link_quality(NodeId id, LinkQuality quality) {
+  LinkQuality& current = link(id).quality;
   if (quality.degraded()) {
-    quality_[id] = quality;
+    current = quality;
     trace::emit(sim_, trace::Category::kNet, trace::Kind::kLinkDegraded, id,
                 static_cast<std::int64_t>(quality.loss * 1e6));
-  } else if (quality_.erase(id) > 0) {
+  } else if (current.degraded()) {
+    current = LinkQuality{};
     trace::emit(sim_, trace::Category::kNet, trace::Kind::kLinkHealed, id);
   }
 }
 
+// A healthy link has loss 0, adds no latency and draws no jitter, so the
+// two helpers below cost no RNG draw on a path with no sick link.
 double Network::path_loss(NodeId src, NodeId dst) const {
-  if (src == dst || quality_.empty()) return 0.0;
-  double survive = 1.0;
-  if (auto it = quality_.find(src); it != quality_.end()) {
-    survive *= 1.0 - it->second.loss;
-  }
-  if (auto it = quality_.find(dst); it != quality_.end()) {
-    survive *= 1.0 - it->second.loss;
-  }
-  return 1.0 - survive;
+  if (src == dst) return 0.0;
+  return 1.0 - (1.0 - link(src).quality.loss) * (1.0 - link(dst).quality.loss);
 }
 
 sim::Time Network::path_degradation_delay(NodeId src, NodeId dst) {
-  if (quality_.empty()) return 0;
   sim::Time extra = 0;
   for (NodeId end : {src, dst}) {
-    auto it = quality_.find(end);
-    if (it == quality_.end()) continue;
-    extra += it->second.extra_latency;
-    if (it->second.extra_jitter > 0) {
-      extra += rng_.uniform_int(0, it->second.extra_jitter);
-    }
+    const LinkQuality& q = link(end).quality;
+    extra += q.extra_latency;
+    if (q.extra_jitter > 0) extra += rng_.uniform_int(0, q.extra_jitter);
   }
   return extra;
 }
@@ -86,7 +80,8 @@ sim::Time Network::retransmit_delay(double loss) {
 
 void Network::start_link_flap(NodeId id, sim::Time down_time,
                               sim::Time up_time) {
-  FlapState& flap = flaps_[id];
+  FlapState& flap = link(id).flap;
+  flap.on = true;
   flap.down_time = down_time;
   flap.up_time = up_time;
   ++flap.epoch;
@@ -96,20 +91,19 @@ void Network::start_link_flap(NodeId id, sim::Time down_time,
 }
 
 void Network::stop_link_flap(NodeId id) {
-  auto it = flaps_.find(id);
-  if (it == flaps_.end()) return;
-  flaps_.erase(it);
+  FlapState& flap = link(id).flap;
+  if (!flap.on) return;
+  flap.on = false;
   trace::emit(sim_, trace::Category::kNet, trace::Kind::kFlapStop, id);
   set_link_up(id, true);
 }
 
 void Network::arm_flap(NodeId id, bool down_next) {
-  auto it = flaps_.find(id);
-  if (it == flaps_.end()) return;
-  const sim::Time phase = down_next ? it->second.up_time : it->second.down_time;
-  sim_.schedule_after(phase, [this, id, down_next, e = it->second.epoch] {
-    auto f = flaps_.find(id);
-    if (f == flaps_.end() || f->second.epoch != e) return;  // flap repaired
+  const FlapState& flap = link(id).flap;
+  const sim::Time phase = down_next ? flap.up_time : flap.down_time;
+  sim_.schedule_after(phase, [this, id, down_next, e = flap.epoch] {
+    const FlapState& f = link(id).flap;
+    if (!f.on || f.epoch != e) return;  // flap stopped, or started anew
     set_link_up(id, !down_next);
     arm_flap(id, !down_next);
   });
@@ -117,7 +111,7 @@ void Network::arm_flap(NodeId id, bool down_next) {
 
 void Network::send(NodeId src, NodeId dst, int port, std::size_t bytes,
                    std::shared_ptr<const void> body, SendOptions options) {
-  assert(hosts_.contains(src) && hosts_.contains(dst));
+  assert(attached(src) && attached(dst));
   Packet packet{src, dst, port, bytes, std::move(body)};
   const RefusalId refusal = hold_refusal(options);
   transmit(std::move(packet), options.reliable, refusal);
@@ -150,18 +144,17 @@ void Network::transmit(Packet packet, bool reliable, RefusalId refusal) {
   }
   if (!path_up(packet.src, packet.dst)) {
     if (reliable) {
-      flows_.park(packet.src, packet.dst,
-                  FlowTable::PendingSend{std::move(packet), refusal});
+      parked_.push_back(Parked{std::move(packet), refusal});
     } else {
       ++dropped_;
     }
     return;
   }
+  Link& sender = link(packet.src);
   // Uplink serialization: the packet leaves once the sender's link is free.
-  sim::Time& free_at = link_free_[packet.src];
-  const sim::Time start = std::max(sim_.now(), free_at);
+  const sim::Time start = std::max(sim_.now(), sender.free_at);
   const sim::Time tx = tx_time(packet.bytes);
-  free_at = start + tx;
+  sender.free_at = start + tx;
   sim::Time arrive = start + tx + params_.base_latency;
   if (params_.max_jitter > 0) {
     arrive += rng_.uniform_int(0, params_.max_jitter);
@@ -182,12 +175,15 @@ void Network::transmit(Packet packet, bool reliable, RefusalId refusal) {
       // bytes arrive late, not never.
       arrive += retransmit_delay(loss);
     }
-    arrive += path_degradation_delay(packet.src, packet.dst);
-  } else if (!quality_.empty()) {
-    arrive += path_degradation_delay(packet.src, packet.dst);
   }
+  arrive += path_degradation_delay(packet.src, packet.dst);
   if (reliable) {
-    arrive = flows_.sequence(packet.src, packet.dst, arrive);
+    // In order per flow: strictly after the flow's newest delivery.
+    std::vector<sim::Time>& row = sender.last_delivery;
+    const auto dst = static_cast<std::size_t>(packet.dst);
+    if (dst >= row.size()) row.resize(links_.size());
+    if (arrive <= row[dst]) arrive = row[dst] + 1;
+    row[dst] = arrive;
   }
   schedule_delivery(arrive, std::move(packet), refusal);
 }
@@ -206,7 +202,7 @@ void Network::deliver(const Packet& packet, RefusalId refusal) {
   // The send resolves here one way or another; take its callback first,
   // since the receiving process may send again and reuse the index.
   sim::EventFn on_refused = take_refusal(refusal);
-  Host* dst = hosts_.at(packet.dst);
+  Host* dst = link(packet.dst).host;
   if (dst->state() == Host::State::kDown) {
     // A dead host is *silent*: no RST ever comes back, the sender's TCP
     // retransmits into the void and its window stays consumed — which is
@@ -241,7 +237,7 @@ void Network::ping_reply(std::uint64_t id, bool ok) {
 }
 
 void Network::ping(NodeId src, NodeId dst, sim::Time timeout, PingCallback cb) {
-  assert(hosts_.contains(src) && hosts_.contains(dst));
+  assert(attached(src) && attached(dst));
   // The callback lives in pings_ under a fresh id; the echo and timeout
   // closures capture only the id, so whichever fires first resolves the
   // ping and the other is a no-op.
@@ -259,7 +255,7 @@ void Network::ping(NodeId src, NodeId dst, sim::Time timeout, PingCallback cb) {
         (rng_.uniform() < loss || rng_.uniform() < loss)) {
       return;  // echo request or echo reply dropped on the sick link
     }
-    Host* target = hosts_.at(dst);
+    Host* target = link(dst).host;
     if (target->state() != Host::State::kUp) return;  // no echo from a dead host
     const sim::Time degraded = path_degradation_delay(src, dst);
     sim_.schedule_after(rtt / 2 + degraded,
@@ -287,15 +283,14 @@ void Network::multicast(NodeId src, int group, int port, std::size_t bytes,
 }
 
 void Network::set_link_up(NodeId id, bool up) {
-  const bool was = link_up(id);
-  link_up_[id] = up;
+  bool& is_up = link(id).up;
+  const bool was = is_up;
+  is_up = up;
   if (up != was) {
     trace::emit(sim_, trace::Category::kNet,
                 up ? trace::Kind::kLinkUp : trace::Kind::kLinkDown, id);
   }
-  if (up && !was && switch_up_) {
-    flush(flows_.take_parked_touching(id));
-  }
+  if (up && !was && switch_up_) flush(id);
 }
 
 void Network::set_switch_up(bool up) {
@@ -305,13 +300,20 @@ void Network::set_switch_up(bool up) {
     trace::emit(sim_, trace::Category::kNet,
                 up ? trace::Kind::kSwitchUp : trace::Kind::kSwitchDown, -1);
   }
-  if (up && !was) {
-    flush(flows_.take_all_parked());
-  }
+  if (up && !was) flush(kNoNode);
 }
 
-void Network::flush(std::vector<FlowTable::PendingSend> parked) {
-  for (auto& p : parked) {
+void Network::flush(NodeId node) {
+  // Take the due sends out first: a retransmit that finds its path still
+  // down parks again behind every send that stays parked.
+  const auto stays = [node](const Parked& p) {
+    return node != kNoNode && p.packet.src != node && p.packet.dst != node;
+  };
+  const auto due = std::stable_partition(parked_.begin(), parked_.end(), stays);
+  std::vector<Parked> sends(std::make_move_iterator(due),
+                            std::make_move_iterator(parked_.end()));
+  parked_.erase(due, parked_.end());
+  for (Parked& p : sends) {
     transmit(std::move(p.packet), /*reliable=*/true, p.refusal);
   }
 }

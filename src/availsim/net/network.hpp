@@ -1,16 +1,15 @@
 #pragma once
 
+#include <cassert>
+#include <cstdint>
 #include <functional>
 #include <map>
 #include <set>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "availsim/net/channel.hpp"
 #include "availsim/net/host.hpp"
 #include "availsim/net/packet.hpp"
-#include "availsim/sim/flat.hpp"
 #include "availsim/sim/rng.hpp"
 #include "availsim/sim/simulator.hpp"
 
@@ -58,6 +57,11 @@ struct SendOptions {
   sim::EventFn on_refused;
 };
 
+/// Index of a reliable send's refusal callback in its Network's table;
+/// kNoRefusal when the send has none.
+using RefusalId = std::uint32_t;
+inline constexpr RefusalId kNoRefusal = ~RefusalId{0};
+
 class Network {
  public:
   using SendOptions = net::SendOptions;
@@ -69,10 +73,14 @@ class Network {
 
   const std::string& name() const { return params_.name; }
 
-  /// Attaches a host; its link starts up.
+  /// Attaches a host; its link starts up. Ids are dense (packet.hpp), so
+  /// the link table is indexed by them.
   void attach(Host& host);
-  bool attached(NodeId id) const { return hosts_.contains(id); }
-  Host& host(NodeId id) { return *hosts_.at(id); }
+  bool attached(NodeId id) const {
+    return id >= 0 && static_cast<std::size_t>(id) < links_.size() &&
+           links_[static_cast<std::size_t>(id)].host != nullptr;
+  }
+  Host& host(NodeId id) { return *link(id).host; }
 
   void send(NodeId src, NodeId dst, int port, std::size_t bytes,
             std::shared_ptr<const void> body,
@@ -108,7 +116,7 @@ class Network {
   /// naive heartbeat detectors. stop_link_flap() restores the link up.
   void start_link_flap(NodeId id, sim::Time down_time, sim::Time up_time);
   void stop_link_flap(NodeId id);
-  bool flapping(NodeId id) const { return flaps_.contains(id); }
+  bool flapping(NodeId id) const { return attached(id) && link(id).flap.on; }
 
   /// True iff packets can currently move from a to b (links + switch).
   /// Host process state is not part of the path; a packet to a down host
@@ -119,14 +127,45 @@ class Network {
   std::uint64_t packets_delivered() const { return delivered_; }
   std::uint64_t packets_dropped() const { return dropped_; }
   std::uint64_t packets_lost() const { return lost_; }
-  std::size_t parked_reliable() const { return flows_.parked_count(); }
+  std::size_t parked_reliable() const { return parked_.size(); }
 
  private:
   struct FlapState {
+    bool on = false;
     sim::Time down_time = 0;
     sim::Time up_time = 0;
+    /// Bumped by every start and never reset, so a stopped flap's pending
+    /// toggle finds a newer epoch and cannot fire into a later flap.
     std::uint64_t epoch = 0;
   };
+
+  /// One host's link to the switch, at its NodeId in links_.
+  struct Link {
+    Host* host = nullptr;  // nullptr: no host attached under this id
+    bool up = false;
+    /// Uplink serialization: the next packet leaves no earlier than this.
+    sim::Time free_at = 0;
+    LinkQuality quality;  // healthy by default: no loss, delay or jitter
+    FlapState flap;
+    /// Newest reliable delivery from this host, by destination NodeId: a
+    /// reliable packet never overtakes an earlier one on its flow.
+    std::vector<sim::Time> last_delivery;
+  };
+
+  /// A reliable send held while its path is down.
+  struct Parked {
+    Packet packet;
+    RefusalId refusal = kNoRefusal;
+  };
+
+  Link& link(NodeId id) {
+    assert(attached(id));
+    return links_[static_cast<std::size_t>(id)];
+  }
+  const Link& link(NodeId id) const {
+    assert(attached(id));
+    return links_[static_cast<std::size_t>(id)];
+  }
 
   /// Moves a reliable send's refusal callback into refusals_, where it
   /// waits until the packet is delivered, dropped or refused. Returns its
@@ -137,7 +176,10 @@ class Network {
   void transmit(Packet packet, bool reliable, RefusalId refusal);
   void schedule_delivery(sim::Time at, Packet packet, RefusalId refusal);
   void deliver(const Packet& packet, RefusalId refusal);
-  void flush(std::vector<FlowTable::PendingSend> parked);
+  /// Retransmits, in park order, the parked sends that touch `node`, or
+  /// all of them for kNoNode. A send whose path is still down parks again,
+  /// at the tail.
+  void flush(NodeId node);
   sim::Time tx_time(std::size_t bytes) const;
   /// Combined per-direction loss probability of the (src, dst) path.
   double path_loss(NodeId src, NodeId dst) const;
@@ -155,13 +197,7 @@ class Network {
   sim::Simulator& sim_;
   sim::Rng rng_;
   NetworkParams params_;
-  std::unordered_map<NodeId, Host*> hosts_;
-  std::unordered_map<NodeId, bool> link_up_;
-  // Flat map: probed on every transmit (uplink serialization); the node
-  // population is fixed at attach time, so steady state is pure lookup.
-  sim::FlatMap<NodeId, sim::Time> link_free_;
-  std::unordered_map<NodeId, LinkQuality> quality_;
-  std::unordered_map<NodeId, FlapState> flaps_;
+  std::vector<Link> links_;  // by NodeId
   // Ordered on purpose: multicast iterates members and each transmit draws
   // RNG jitter, so the iteration order is part of the event schedule — it
   // must be canonical, not hash order.
@@ -170,7 +206,8 @@ class Network {
   // so whichever fires second finds the ping gone.
   std::map<std::uint64_t, PingCallback> pings_;
   std::uint64_t next_ping_id_ = 1;
-  FlowTable flows_;
+  // Reliable sends waiting for their path, oldest first.
+  std::vector<Parked> parked_;
   // Refusal callbacks of reliable sends in flight or parked, by RefusalId.
   // Delivery closures and parked sends carry only the index, which keeps
   // the delivery closure inside EventFn's inline buffer.

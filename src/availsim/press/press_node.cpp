@@ -864,14 +864,11 @@ void PressNode::exclude_node(net::NodeId target) {
     // We were presumed dead by the others. Continue alone (splinter).
     ++stats_.self_exclusions;
     mark("self_excluded");
-    // Purge queues in node-id order (FlatMap iteration).  Keys are
-    // collected first because fail_forward_ids() can reroute, which
-    // touches sendq_ mid-purge.
-    std::vector<net::NodeId> qpeers;
-    qpeers.reserve(sendq_.size());
-    for (const auto& [peer, q] : sendq_) qpeers.push_back(peer);
-    for (net::NodeId peer : qpeers) {
-      fail_forward_ids(sendq_[peer]->purge());
+    // Purge queues in node-id order (FlatMap iteration).  The walk is in
+    // place: fail_forward_ids() only retires forwards_ entries and bumps
+    // counters, it never touches sendq_.
+    for (const auto& [peer, q] : sendq_) {
+      fail_forward_ids(q->purge());
       trace::emit(sim_, Category::kQmon, Kind::kQueuePurge, id(), peer);
     }
     sendq_.clear();

@@ -54,7 +54,7 @@ SelfMonitoringQueue::pop_transmittable(sim::Time now) {
   queue_.pop_front();
   if (out.is_request) {
     --queued_requests_;
-    in_flight_.emplace(out.request_id, true);
+    in_flight_.insert(out.request_id);
     outstanding_.emplace(out.request_id, now);
   }
   return out;
@@ -88,9 +88,9 @@ std::vector<std::uint64_t> SelfMonitoringQueue::purge() {
   for (const auto& e : queue_) {
     if (e.is_request) ids.push_back(e.request_id);
   }
-  // In-flight ids leave in ascending order (flat map iteration): the caller
+  // In-flight ids leave in ascending order (flat set iteration): the caller
   // fails them one by one, so the order is part of the event schedule.
-  for (const auto& [id, b] : in_flight_) ids.push_back(id);
+  ids.insert(ids.end(), in_flight_.begin(), in_flight_.end());
   queue_.clear();
   queued_requests_ = 0;
   in_flight_.clear();

@@ -110,9 +110,10 @@ class SelfMonitoringQueue {
   int window_;
   std::deque<Entry> queue_;
   std::size_t queued_requests_ = 0;
-  // Flat maps keyed by monotonic request id: appends at the tail, ascending
-  // iteration, no per-transmit node allocation (see hot-alloc lint).
-  sim::FlatMap<std::uint64_t, bool> in_flight_;      // awaiting ack (window)
+  // Flat containers keyed by monotonic request id: appends at the tail,
+  // ascending iteration, no per-transmit node allocation (see hot-alloc
+  // lint).
+  sim::FlatSet<std::uint64_t> in_flight_;               // awaiting ack (window)
   sim::FlatMap<std::uint64_t, sim::Time> outstanding_;  // awaiting answer
 };
 

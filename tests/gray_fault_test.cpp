@@ -125,6 +125,22 @@ TEST_F(GrayNetTest, FlapAlternatesDownAndUp) {
   EXPECT_TRUE(net_.link_up(1));
 }
 
+// Regression: stop_link_flap used to forget the flap's epoch, so a flap
+// started again began at epoch 1 and the stopped flap's pending toggle
+// (due at 2 s) brought the link up inside the new flap's down phase.
+TEST_F(GrayNetTest, RestartedFlapIgnoresStoppedFlapsToggle) {
+  net_.start_link_flap(1, 2 * sim::kSecond, 3 * sim::kSecond);
+  sim_.run_until(sim::kSecond);
+  net_.stop_link_flap(1);
+  EXPECT_TRUE(net_.link_up(1));
+  sim_.run_until(1500 * sim::kMillisecond);
+  net_.start_link_flap(1, 2 * sim::kSecond, 3 * sim::kSecond);
+  sim_.run_until(2 * sim::kSecond + sim::kMillisecond);
+  EXPECT_FALSE(net_.link_up(1));  // the new down phase lasts until 3.5 s
+  sim_.run_until(3500 * sim::kMillisecond + sim::kMillisecond);
+  EXPECT_TRUE(net_.link_up(1));
+}
+
 TEST_F(GrayNetTest, PingLosesEchoesOnLossyLink) {
   net_.set_link_quality(1, net::LinkQuality{1.0, 0, 0});
   bool result = true;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -39,9 +40,19 @@ class NetTest : public ::testing::Test {
     net_.send(src, dst, 100, 200, make_body<Probe>(Probe{value}), std::move(o));
   }
 
+  /// Binds port 100 on every host; each delivery appends its tag to got_.
+  void record_deliveries() {
+    for (auto& h : hosts_) {
+      h->bind(100, [this](const Packet& p) {
+        got_.push_back(body_as<Probe>(p).value);
+      });
+    }
+  }
+
   sim::Simulator sim_;
   Network net_;
   std::vector<std::unique_ptr<Host>> hosts_;
+  std::vector<int> got_;
 };
 
 TEST_F(NetTest, DeliversToBoundPort) {
@@ -183,6 +194,162 @@ TEST_F(NetTest, ReliableInOrderPerFlow) {
   sim_.run();
   ASSERT_EQ(got.size(), 50u);
   for (int i = 0; i < 50; ++i) EXPECT_EQ(got[static_cast<size_t>(i)], i);
+}
+
+// The flow table: reliable sends that find their path down wait in
+// Network's parked queue. A link repair retransmits the parked sends that
+// touch that link, a switch repair all of them, each in park order.
+using FlowTable = NetTest;
+
+TEST_F(FlowTable, ParkAndTakeTouching) {
+  record_deliveries();
+  net_.set_link_up(2, false);
+  net_.set_link_up(3, false);
+  send(1, 3, 1, true);
+  send(0, 2, 2, true);
+  send(0, 3, 3, true);
+  send(3, 1, 4, true);
+  send(2, 1, 5, true);
+  sim_.run_until(sim::kSecond);
+  EXPECT_EQ(net_.parked_reliable(), 5u);
+  net_.set_link_up(3, true);
+  sim_.run_until(2 * sim::kSecond);
+  EXPECT_EQ(got_, (std::vector<int>{1, 3, 4}));
+  EXPECT_EQ(net_.parked_reliable(), 2u);
+  got_.clear();
+  net_.set_link_up(2, true);
+  sim_.run();
+  EXPECT_EQ(got_, (std::vector<int>{2, 5}));
+  EXPECT_EQ(net_.parked_reliable(), 0u);
+}
+
+TEST_F(FlowTable, TakeParkedTouchingReturnsParkOrder) {
+  // Flows touching node 0 interleaved with flows that touch only node 3;
+  // park order is the tag order 1..8, and 2->0 parks twice.
+  record_deliveries();
+  net_.set_link_up(0, false);
+  net_.set_link_up(3, false);
+  send(2, 0, 1, true);
+  send(1, 3, 2, true);
+  send(1, 0, 3, true);
+  send(0, 2, 4, true);
+  send(0, 1, 5, true);
+  send(3, 2, 6, true);
+  send(1, 0, 7, true);
+  send(2, 0, 8, true);
+  sim_.run_until(sim::kSecond);
+  EXPECT_EQ(net_.parked_reliable(), 8u);
+  net_.set_link_up(0, true);
+  sim_.run_until(2 * sim::kSecond);
+  EXPECT_EQ(got_, (std::vector<int>{1, 3, 4, 5, 7, 8}));
+  EXPECT_EQ(net_.parked_reliable(), 2u);
+}
+
+TEST_F(NetTest, SendStillBlockedAfterRepairParksAgainAtTheTail) {
+  // Repairing link 1 retransmits 1->2, which finds link 2 still down and
+  // parks again behind 0->2: the repair of link 2 then replays 0->2 first.
+  record_deliveries();
+  net_.set_link_up(1, false);
+  net_.set_link_up(2, false);
+  send(0, 1, 1, true);
+  send(1, 2, 2, true);
+  send(0, 2, 3, true);
+  sim_.run_until(sim::kSecond);
+  net_.set_link_up(1, true);
+  sim_.run_until(2 * sim::kSecond);
+  EXPECT_EQ(net_.parked_reliable(), 2u);
+  net_.set_link_up(2, true);
+  sim_.run();
+  EXPECT_EQ(got_, (std::vector<int>{1, 3, 2}));
+}
+
+TEST_F(FlowTable, TakeAllParkedEmptiesTable) {
+  record_deliveries();
+  net_.set_switch_up(false);
+  for (int i = 0; i < 5; ++i) send(i % 4, (i + 1) % 4, i, true);
+  sim_.run_until(sim::kSecond);
+  EXPECT_EQ(net_.parked_reliable(), 5u);
+  net_.set_switch_up(true);
+  sim_.run();
+  EXPECT_EQ(got_.size(), 5u);
+  EXPECT_EQ(net_.parked_reliable(), 0u);
+}
+
+TEST_F(FlowTable, TakeAllParkedReturnsParkOrder) {
+  // Park order is the reverse of (src, dst) order, so a drain in flow
+  // order would deliver 4, 3, 2, 1.
+  record_deliveries();
+  net_.set_switch_up(false);
+  send(3, 0, 1, true);
+  send(2, 1, 2, true);
+  send(1, 0, 3, true);
+  send(0, 3, 4, true);
+  sim_.run_until(sim::kSecond);
+  EXPECT_EQ(net_.parked_reliable(), 4u);
+  net_.set_switch_up(true);
+  sim_.run();
+  EXPECT_EQ(got_, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(net_.parked_reliable(), 0u);
+}
+
+TEST_F(NetTest, ReliableFlowsAreSequencedIndependently) {
+  // Two slow reliable sends: 0->3 crosses a link with 50 ms extra latency,
+  // 1->2 carries 10 MB (80 ms on the wire). Neither may hold back a flow
+  // that shares only its source (0->2), its destination (0->2) or its
+  // hosts in the other direction (2->1).
+  sim::Time arrival[5] = {};
+  for (auto& h : hosts_) {
+    h->bind(100, [&](const Packet& p) {
+      arrival[body_as<Probe>(p).value] = sim_.now();
+    });
+  }
+  net_.set_link_quality(3, LinkQuality{0.0, 50 * sim::kMillisecond, 0});
+  send(0, 3, 1, true);
+  Network::SendOptions o;
+  o.reliable = true;
+  net_.send(1, 2, 100, 10'000'000, make_body<Probe>(Probe{2}), std::move(o));
+  send(0, 2, 3, true);
+  send(2, 1, 4, true);
+  sim_.run();
+  EXPECT_GE(arrival[1], 50 * sim::kMillisecond);
+  EXPECT_GE(arrival[2], 80 * sim::kMillisecond);
+  EXPECT_LT(arrival[3], sim::kMillisecond);
+  EXPECT_LT(arrival[4], sim::kMillisecond);
+}
+
+// 200 sends from 0 to 1 over a fabric whose jitter (200 us) dwarfs the
+// 1.6 us between departures; returns the tags in arrival order.
+std::vector<int> jittered_arrivals(bool reliable) {
+  sim::Simulator sim;
+  NetworkParams p;
+  p.max_jitter = 200 * sim::kMicrosecond;
+  Network net(sim, sim::Rng(3), p);
+  Host a(sim, 0, "a");
+  Host b(sim, 1, "b");
+  net.attach(a);
+  net.attach(b);
+  std::vector<int> got;
+  b.bind(100, [&](const Packet& pkt) { got.push_back(body_as<Probe>(pkt).value); });
+  for (int i = 0; i < 200; ++i) {
+    Network::SendOptions o;
+    o.reliable = reliable;
+    net.send(0, 1, 100, 200, make_body<Probe>(Probe{i}), std::move(o));
+  }
+  sim.run();
+  return got;
+}
+
+TEST(NetworkJitter, ReliableFlowArrivesInOrder) {
+  const auto got = jittered_arrivals(/*reliable=*/true);
+  ASSERT_EQ(got.size(), 200u);
+  EXPECT_TRUE(std::is_sorted(got.begin(), got.end()));
+}
+
+TEST(NetworkJitter, DatagramsOvertakeEachOther) {
+  // Control for the test above: the same jitter reorders datagrams.
+  const auto got = jittered_arrivals(/*reliable=*/false);
+  ASSERT_EQ(got.size(), 200u);
+  EXPECT_FALSE(std::is_sorted(got.begin(), got.end()));
 }
 
 TEST_F(NetTest, PingSucceedsOnHealthyPath) {
