@@ -9,6 +9,7 @@
 #include <memory>
 
 #include "availsim/harness/experiment.hpp"
+#include "availsim/workload/client.hpp"
 #include "availsim/workload/trace.hpp"
 
 using namespace availsim;
@@ -49,10 +50,10 @@ int main(int argc, char** argv) {
   workload::Recorder recorder(simulator);
   net::Host replay_host(simulator, 900, "trace-client");
   tb.client_net().attach(replay_host);
-  workload::TraceClient::Params params;
-  params.loop = true;
-  workload::TraceClient client(simulator, tb.client_net(), replay_host,
-                               *trace, params, recorder);
+  workload::Client::Replay replay;
+  replay.loop = true;
+  workload::Client client(simulator, tb.client_net(), replay_host, *trace,
+                          replay, recorder);
   client.set_destinations({0, 1, 2, 3}, net::ports::kPressHttp);
   simulator.run_until(opts.warmup);
   client.start();

@@ -1,7 +1,5 @@
 #include "availsim/harness/testbed.hpp"
 
-#include "availsim/workload/zipf.hpp"
-
 #include <cassert>
 #include <cstdlib>
 #include <filesystem>
@@ -19,6 +17,10 @@ constexpr sim::Time kAppRestartDelay = 5 * sim::kSecond;
 constexpr sim::Time kOfflineWatchPeriod = 10 * sim::kSecond;
 constexpr sim::Time kOperatorCheckPeriod = 30 * sim::kSecond;
 constexpr sim::Time kAuditTickPeriod = 30 * sim::kSecond;
+// Popularity (DESIGN.md §4b): 80% of requests over the 8,000 hottest files,
+// the rest uniform over the tail.
+constexpr int kHotFiles = 8000;
+constexpr double kHotWeight = 0.80;
 
 bool env_truthy(const char* name) {
   const char* v = std::getenv(name);
@@ -246,7 +248,6 @@ void Testbed::build() {
         sim_, *client_net_, *fe_host_, frontend::FrontendParams{});
     frontend_->set_backends(server_ids);
     frontend::MonitorParams mon_params;
-    mon_params.mode = opts_.monitor_mode;
     if (opts_.hardened_detectors) mon_params.ping_retries = 2;
     monitor_ = std::make_unique<frontend::Monitor>(
         sim_, *client_net_, *fe_host_, rng_.fork(400), mon_params);
@@ -275,13 +276,8 @@ void Testbed::build() {
   }
 
   recorder_ = std::make_unique<workload::Recorder>(sim_);
-  if (opts_.hot_weight > 0) {
-    popularity_ = std::make_unique<workload::HotColdSampler>(
-        opts_.files.count, opts_.hot_files, opts_.hot_weight);
-  } else {
-    popularity_ = std::make_unique<workload::ZipfSampler>(
-        opts_.files.count, opts_.zipf_exponent);
-  }
+  popularity_ = std::make_unique<workload::HotColdSampler>(
+      opts_.files.count, kHotFiles, kHotWeight);
   std::vector<net::NodeId> destinations;
   int dst_port;
   if (has_frontend()) {
@@ -355,18 +351,21 @@ bool Testbed::fault_active(fault::FaultType type, int component) const {
   return false;
 }
 
+Testbed::Server* Testbed::server_hit(fault::FaultType type, int component) {
+  if (type == fault::FaultType::kSwitchDown ||
+      type == fault::FaultType::kFrontendFailure) {
+    return nullptr;
+  }
+  const bool disk_fault = type == fault::FaultType::kScsiTimeout ||
+                          type == fault::FaultType::kDiskSlow;
+  const int node = disk_fault ? component / opts_.press.disk_count : component;
+  return &servers_[static_cast<std::size_t>(node)];
+}
+
 void Testbed::inject(fault::FaultType type, int component) {
   active_faults_.emplace_back(type, component);
   ++active_fault_count_;
-  Server* s = nullptr;
-  if (type != fault::FaultType::kSwitchDown &&
-      type != fault::FaultType::kFrontendFailure) {
-    const int node = (type == fault::FaultType::kScsiTimeout ||
-                      type == fault::FaultType::kDiskSlow)
-                         ? component / opts_.press.disk_count
-                         : component;
-    s = &servers_[static_cast<std::size_t>(node)];
-  }
+  Server* s = server_hit(type, component);
   switch (type) {
     case fault::FaultType::kLinkDown:
       cluster_net_->set_link_up(component, false);
@@ -378,11 +377,7 @@ void Testbed::inject(fault::FaultType type, int component) {
       disk(component).fail_timeout();
       break;
     case fault::FaultType::kNodeCrash:
-      s->host->crash();
-      s->press->on_host_crashed();
-      if (s->member) s->member->on_host_crashed();
-      if (s->mclient) s->mclient->stop();
-      if (s->fme) s->fme->on_host_crashed();
+      crash_node(*s);
       break;
     case fault::FaultType::kNodeFreeze:
       s->host->freeze();
@@ -423,15 +418,7 @@ void Testbed::inject(fault::FaultType type, int component) {
 void Testbed::repair(fault::FaultType type, int component) {
   std::erase(active_faults_, std::make_pair(type, component));
   --active_fault_count_;
-  Server* s = nullptr;
-  if (type != fault::FaultType::kSwitchDown &&
-      type != fault::FaultType::kFrontendFailure) {
-    const int node = (type == fault::FaultType::kScsiTimeout ||
-                      type == fault::FaultType::kDiskSlow)
-                         ? component / opts_.press.disk_count
-                         : component;
-    s = &servers_[static_cast<std::size_t>(node)];
-  }
+  Server* s = server_hit(type, component);
   switch (type) {
     case fault::FaultType::kLinkDown:
       cluster_net_->set_link_up(component, true);
@@ -505,16 +492,20 @@ std::vector<fault::FaultSpec> Testbed::fault_load() const {
 // Enforcement actions (FME / S-FME) and the repair crew
 // ---------------------------------------------------------------------------
 
-void Testbed::take_node_offline(int i, const char* cause) {
-  Server& s = servers_[static_cast<std::size_t>(i)];
-  if (s.host->state() == net::Host::State::kDown) return;
-  s.offline_by_enforcement = true;
-  note(std::string(cause) + "_node_offline", i);
+void Testbed::crash_node(Server& s) {
   s.host->crash();
   s.press->on_host_crashed();
   if (s.member) s.member->on_host_crashed();
   if (s.mclient) s.mclient->stop();
   if (s.fme) s.fme->on_host_crashed();
+}
+
+void Testbed::take_node_offline(int i, const char* cause) {
+  Server& s = servers_[static_cast<std::size_t>(i)];
+  if (s.host->state() == net::Host::State::kDown) return;
+  s.offline_by_enforcement = true;
+  note(std::string(cause) + "_node_offline", i);
+  crash_node(s);
 }
 
 bool Testbed::node_fault_active(int i) const {
@@ -590,22 +581,11 @@ bool Testbed::healthy() const {
   return !splintered();
 }
 
-bool Testbed::suboptimal() const {
-  for (const auto& s : servers_) {
-    const bool host_up = s.host->state() == net::Host::State::kUp;
-    if (!host_up) return true;  // node stuck down with no active fault
-    if (!s.press->process_up() || s.press->hung() || s.press->blocked()) {
-      return true;
-    }
-  }
-  return splintered();
-}
-
 void Testbed::arm_operator() {
   sim_.schedule_after(kOperatorCheckPeriod, [this] {
     if (active_fault_count_ > 0) {
       suboptimal_since_ = -1;  // wait for the repair crew first
-    } else if (!suboptimal()) {
+    } else if (healthy()) {
       suboptimal_since_ = -1;
     } else {
       if (suboptimal_since_ < 0) suboptimal_since_ = sim_.now();

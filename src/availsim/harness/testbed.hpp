@@ -46,14 +46,6 @@ struct TestbedOptions {
   sim::Time warmup = 300 * sim::kSecond;
   press::PressParams press;
   workload::FileSet files;
-  /// Popularity model: hot_weight of requests over the hot_files most
-  /// popular files, the remainder uniform over the tail (hot_weight = 0
-  /// selects a pure Zipf(zipf_exponent) law instead).
-  int hot_files = 8000;
-  double hot_weight = 0.80;
-  double zipf_exponent = 0.70;
-  frontend::MonitorParams::Mode monitor_mode =
-      frontend::MonitorParams::Mode::kPing;
   /// Measured S-FME variant: global cooperation-set monitor active.
   bool with_sfme = false;
   /// Operator model: after every fault is repaired, if the service is
@@ -129,11 +121,9 @@ class Testbed : public fault::FaultTarget {
   const TestbedOptions& options() const { return opts_; }
 
   /// True when every process is up and (for cooperative configs) all live
-  /// servers agree on one full cooperation set.
+  /// servers agree on one full cooperation set. Otherwise, with no fault
+  /// active, the service needs operator attention.
   bool healthy() const;
-  /// True when the service needs operator attention (given no active
-  /// faults): splintered views, dead/wedged processes.
-  bool suboptimal() const;
   bool splintered() const;
 
   /// Rolling restart of all server processes (the operator's reset).
@@ -162,6 +152,10 @@ class Testbed : public fault::FaultTarget {
   void start_server_processes(int i, sim::Time delay,
                               bool prewarm = false);
   void restart_press(int i, bool prewarm = false);
+  /// The server a fault hits, or nullptr for the switch and the front-end.
+  Server* server_hit(fault::FaultType type, int component);
+  /// Crashes the node's host and every process on it.
+  void crash_node(Server& s);
   void take_node_offline(int i, const char* cause);
   void reboot_node(int i);
   bool node_fault_active(int i) const;

@@ -43,8 +43,7 @@ void MemberServer::start() {
   view_.clear();
   view_.insert(id());
   view_version_ = 0;
-  last_seen_.clear();
-  hb_ewma_.clear();
+  heard_.clear();
   proposals_.clear();
   removing_.clear();
   joined_ = false;
@@ -171,8 +170,9 @@ sim::Time MemberServer::suspect_deadline(net::NodeId neighbour) const {
   // heartbeat period and the floor keeps dead-node detection at seed
   // speed.
   sim::Time ewma = p_.heartbeat_period;
-  if (auto it = hb_ewma_.find(neighbour); it != hb_ewma_.end()) {
-    ewma = it->second;
+  if (const auto n = static_cast<std::size_t>(neighbour);
+      n < heard_.size() && heard_[n].ewma != Heard::kNever) {
+    ewma = heard_[n].ewma;
   }
   const auto accrual =
       static_cast<sim::Time>(p_.phi_threshold * static_cast<double>(ewma));
@@ -181,12 +181,12 @@ sim::Time MemberServer::suspect_deadline(net::NodeId neighbour) const {
 
 void MemberServer::check_neighbours() {
   for (net::NodeId nb : neighbours()) {
-    auto it = last_seen_.find(nb);
-    if (it == last_seen_.end()) {
-      last_seen_[nb] = sim_.now();  // grace for a new neighbour
+    sim::Time& seen = heard(nb).last_seen;
+    if (seen == Heard::kNever) {
+      seen = sim_.now();  // grace for a new neighbour
       continue;
     }
-    if (sim_.now() - it->second > suspect_deadline(nb) &&
+    if (sim_.now() - seen > suspect_deadline(nb) &&
         !removing_.contains(nb)) {
       trace::emit(sim_, Category::kMembership, Kind::kMemSuspect, id(), nb);
       mark("suspect", nb);
@@ -195,19 +195,23 @@ void MemberServer::check_neighbours() {
   }
 }
 
+MemberServer::Heard& MemberServer::heard(net::NodeId node) {
+  const auto n = static_cast<std::size_t>(node);
+  if (n >= heard_.size()) heard_.resize(n + 1);
+  return heard_[n];
+}
+
 void MemberServer::handle_heartbeat(const MHeartbeat& msg) {
-  if (p_.hardened) {
-    if (auto it = last_seen_.find(msg.from); it != last_seen_.end()) {
-      const sim::Time interval = sim_.now() - it->second;
-      auto [e, inserted] = hb_ewma_.emplace(msg.from, interval);
-      if (!inserted) {
-        e->second = static_cast<sim::Time>(
-            p_.ewma_alpha * static_cast<double>(interval) +
-            (1.0 - p_.ewma_alpha) * static_cast<double>(e->second));
-      }
-    }
+  Heard& h = heard(msg.from);
+  if (p_.hardened && h.last_seen != Heard::kNever) {
+    const sim::Time interval = sim_.now() - h.last_seen;
+    h.ewma = h.ewma == Heard::kNever
+                 ? interval
+                 : static_cast<sim::Time>(
+                       p_.ewma_alpha * static_cast<double>(interval) +
+                       (1.0 - p_.ewma_alpha) * static_cast<double>(h.ewma));
   }
-  last_seen_[msg.from] = sim_.now();
+  h.last_seen = sim_.now();
 }
 
 // ---------------------------------------------------------------------------
@@ -356,7 +360,7 @@ void MemberServer::install_view(std::vector<net::NodeId> members) {
   trace::emit(sim_, Category::kMembership, Kind::kMemViewInstall, id(),
               static_cast<std::int64_t>(view_mask(view_)), view_version_);
   // Grace: don't instantly suspect new neighbours.
-  for (net::NodeId nb : neighbours()) last_seen_[nb] = sim_.now();
+  for (net::NodeId nb : neighbours()) heard(nb).last_seen = sim_.now();
   publish();
 }
 

@@ -9,7 +9,6 @@
 #include "availsim/membership/board.hpp"
 #include "availsim/membership/messages.hpp"
 #include "availsim/net/network.hpp"
-#include "availsim/sim/flat.hpp"
 #include "availsim/sim/rng.hpp"
 
 namespace availsim::membership {
@@ -116,10 +115,20 @@ class MemberServer {
   std::uint64_t epoch_ = 0;
   std::set<net::NodeId> view_;
   std::uint64_t view_version_ = 0;
-  // Flat maps: cluster-sized, probed on every heartbeat — no hash nodes.
-  sim::FlatMap<net::NodeId, sim::Time> last_seen_;
-  // Smoothed heartbeat inter-arrival per peer (accrual detector state).
-  sim::FlatMap<net::NodeId, sim::Time> hb_ewma_;
+  /// Heartbeat state for one peer.
+  struct Heard {
+    static constexpr sim::Time kNever = -1;
+    /// Its last heartbeat, or the start of its grace period; kNever until
+    /// it is first watched.
+    sim::Time last_seen = kNever;
+    /// Smoothed heartbeat inter-arrival (accrual detector state); kNever
+    /// until a second heartbeat measures one.
+    sim::Time ewma = kNever;
+  };
+  /// By NodeId; grows on first use. A reference into it is invalidated by
+  /// the next heard() call.
+  std::vector<Heard> heard_;
+  Heard& heard(net::NodeId node);
   bool joined_ = false;
 
   struct Proposal {

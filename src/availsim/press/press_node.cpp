@@ -11,6 +11,19 @@ namespace availsim::press {
 namespace {
 using trace::Category;
 using trace::Kind;
+
+/// Every port a PRESS process reads.
+constexpr int kPorts[] = {
+    net::ports::kPressHttp,        net::ports::kPressIntra,
+    net::ports::kPressFwdReply,    net::ports::kPressCacheUpdate,
+    net::ports::kPressSnapshot,    net::ports::kPressHeartbeat,
+    net::ports::kPressControl,     net::ports::kPressFwdAck};
+
+/// Ports the coordinating thread reads; helper threads read the rest.
+bool main_loop_port(int port) {
+  return port == net::ports::kPressHttp || port == net::ports::kPressIntra ||
+         port == net::ports::kPressFwdReply;
+}
 }  // namespace
 
 std::uint64_t PressNode::coop_mask() const {
@@ -35,6 +48,9 @@ PressNode::PressNode(sim::Simulator& simulator, net::Network& cluster_net,
       disks_(std::move(disks)),
       cache_(params.cache_bytes, params.file_bytes) {
   assert(!disks_.empty());
+  net::NodeId top = id();
+  for (net::NodeId n : configured_) top = std::max(top, n);
+  peers_.resize(static_cast<std::size_t>(top) + 1);
 }
 
 void PressNode::mark(const char* m, net::NodeId about) {
@@ -55,9 +71,8 @@ void PressNode::start(bool prewarm) {
   cache_.clear();
   dir_ = Directory{};
   coop_.clear();
-  sendq_.clear();
+  for (Peer& p : peers_) p = Peer{};
   forwards_.clear();
-  last_heartbeat_.clear();
   backlog_.clear();
   paused_.clear();
   active_requests_ = 0;
@@ -66,22 +81,9 @@ void PressNode::start(bool prewarm) {
   last_progress_ = sim_.now();
   for (auto* d : disks_) d->purge();
 
-  host_.bind(net::ports::kPressHttp,
-             [this](const net::Packet& p) { on_http(p); });
-  host_.bind(net::ports::kPressIntra,
-             [this](const net::Packet& p) { on_forward_request(p); });
-  host_.bind(net::ports::kPressFwdReply,
-             [this](const net::Packet& p) { on_forward_reply(p); });
-  host_.bind(net::ports::kPressCacheUpdate,
-             [this](const net::Packet& p) { on_cache_update(p); });
-  host_.bind(net::ports::kPressSnapshot,
-             [this](const net::Packet& p) { on_cache_snapshot(p); });
-  host_.bind(net::ports::kPressHeartbeat,
-             [this](const net::Packet& p) { on_heartbeat(p); });
-  host_.bind(net::ports::kPressControl,
-             [this](const net::Packet& p) { on_control(p); });
-  host_.bind(net::ports::kPressFwdAck,
-             [this](const net::Packet& p) { on_forward_ack(p); });
+  for (int port : kPorts) {
+    host_.bind(port, [this](const net::Packet& p) { receive(p); });
+  }
 
   coop_.insert(id());
   if (p_.cooperative && p_.membership == PressParams::Membership::kNone) {
@@ -142,18 +144,12 @@ void PressNode::crash_process() {
   hung_ = false;
   blocked_ = false;
   block_retry_ = nullptr;
-  for (int port :
-       {net::ports::kPressHttp, net::ports::kPressIntra,
-        net::ports::kPressFwdReply, net::ports::kPressCacheUpdate,
-        net::ports::kPressSnapshot, net::ports::kPressHeartbeat,
-        net::ports::kPressControl, net::ports::kPressFwdAck}) {
-    host_.unbind(port);
-  }
+  for (int port : kPorts) host_.unbind(port);
   for (auto* d : disks_) d->purge();  // the process's outstanding I/O dies
   backlog_.clear();
   paused_.clear();
   forwards_.clear();
-  sendq_.clear();
+  for (Peer& p : peers_) p = Peer{};
   coop_.clear();
   active_requests_ = 0;
   trace::emit(sim_, Category::kPress, Kind::kPressStop, id());
@@ -188,6 +184,30 @@ void PressNode::resume_after_thaw() {
 // Coordinating-thread scheduling
 // ---------------------------------------------------------------------------
 
+void PressNode::receive(const net::Packet& packet) {
+  if (!process_up_) return;
+  // The coordinating thread reads requests, forwards and forward replies.
+  // Helper threads read heartbeats, cache updates and control traffic, and
+  // keep reading while the coordinating thread is blocked: that is how a
+  // stalled cluster still excises a wedged peer. Input a thread cannot read
+  // yet waits, like bytes in a kernel socket buffer.
+  if (!(main_loop_port(packet.port) ? main_ok() : helper_ok())) {
+    if (backlog_.size() < kBacklogCapacity) backlog_.push_back(packet);
+    return;
+  }
+  switch (packet.port) {
+    case net::ports::kPressHttp: on_http(packet); break;
+    case net::ports::kPressIntra: on_forward_request(packet); break;
+    case net::ports::kPressFwdReply: on_forward_reply(packet); break;
+    case net::ports::kPressCacheUpdate: on_cache_update(packet); break;
+    case net::ports::kPressSnapshot: on_cache_snapshot(packet); break;
+    case net::ports::kPressHeartbeat: on_heartbeat(packet); break;
+    case net::ports::kPressControl: on_control(packet); break;
+    case net::ports::kPressFwdAck: on_forward_ack(packet); break;
+    default: break;
+  }
+}
+
 void PressNode::drain_paused() {
   // Incremental: resume parked work only while the main loop can run. A
   // re-block (e.g. the disk queue filling again) stops the drain with the
@@ -205,17 +225,7 @@ void PressNode::drain_backlog() {
   while (!backlog_.empty() && main_ok()) {
     net::Packet pkt = std::move(backlog_.front());
     backlog_.pop_front();
-    switch (pkt.port) {
-      case net::ports::kPressHttp: on_http(pkt); break;
-      case net::ports::kPressIntra: on_forward_request(pkt); break;
-      case net::ports::kPressFwdReply: on_forward_reply(pkt); break;
-      case net::ports::kPressCacheUpdate: on_cache_update(pkt); break;
-      case net::ports::kPressSnapshot: on_cache_snapshot(pkt); break;
-      case net::ports::kPressHeartbeat: on_heartbeat(pkt); break;
-      case net::ports::kPressControl: on_control(pkt); break;
-      case net::ports::kPressFwdAck: on_forward_ack(pkt); break;
-      default: break;
-    }
+    receive(pkt);
   }
 }
 
@@ -261,23 +271,17 @@ std::size_t PressNode::disk_index(workload::FileId file) const {
   return static_cast<std::size_t>(h >> 32) % disks_.size();
 }
 
-bool PressNode::stale(const workload::HttpRequest& request) const {
-  return request.sent_at > 0 &&
-         sim_.now() - request.sent_at > p_.request_shed_age;
+bool PressNode::stale(sim::Time sent_at) const {
+  return sent_at > 0 && sim_.now() - sent_at > p_.request_shed_age;
 }
 
 void PressNode::on_http(const net::Packet& packet) {
-  if (!process_up_) return;
-  if (!main_ok()) {
-    if (backlog_.size() < kBacklogCapacity) backlog_.push_back(packet);
-    return;
-  }
   const auto request = net::body_as<workload::HttpRequest>(packet);
   schedule_cpu(p_.cpu_parse, [this, request] { route(request); });
 }
 
 void PressNode::route(const workload::HttpRequest& request) {
-  if (stale(request)) {
+  if (stale(request.sent_at)) {
     ++stats_.shed_stale;
     return;
   }
@@ -303,6 +307,14 @@ void PressNode::route(const workload::HttpRequest& request) {
   serve_from_disk(request);
 }
 
+void PressNode::serve_here(const workload::HttpRequest& request) {
+  if (cache_.touch(request.file)) {
+    serve_local_hit(request);
+  } else {
+    serve_from_disk(request);
+  }
+}
+
 void PressNode::serve_local_hit(const workload::HttpRequest& request) {
   schedule_cpu(p_.cpu_serve_local, [this, request] {
     ++stats_.served_local_cache;
@@ -310,12 +322,12 @@ void PressNode::serve_local_hit(const workload::HttpRequest& request) {
   });
 }
 
-void PressNode::serve_from_disk(const workload::HttpRequest& request) {
-  disk::Disk* d = disks_[disk_index(request.file)];
-  auto completion = [this, e = epoch_, request] {
+template <typename F>
+void PressNode::read_from_disk(workload::FileId file, F then) {
+  disk::Disk* d = disks_[disk_index(file)];
+  auto completion = [this, e = epoch_, then] {
     if (epoch_ != e || !process_up_) return;
-    schedule_cpu(p_.cpu_disk_finish,
-                 [this, request] { finish_disk_read(request); });
+    schedule_cpu(p_.cpu_disk_finish, then);
   };
   static_assert(sim::EventFn::stores_inline<decltype(completion)>(),
                 "disk-read completion outgrows EventFn's inline buffer; every "
@@ -323,21 +335,23 @@ void PressNode::serve_from_disk(const workload::HttpRequest& request) {
   if (d->submit(files_.file_bytes, completion)) return;
   // Disk queue full: the coordinating thread blocks trying to enqueue.
   // availlint: hot-ok(runs only on a full disk queue, once per blocked episode)
-  block_main("disk_queue", [this, d, request, completion] {
+  block_main("disk_queue", [this, d, completion] {
     return d->submit(files_.file_bytes, completion);
   });
 }
 
-void PressNode::finish_disk_read(const workload::HttpRequest& request) {
-  insert_cache_and_broadcast(request.file);
-  if (stale(request)) {
-    // The client gave up long ago; the read was wasted work.
-    ++stats_.shed_stale;
-    --active_requests_;
-    return;
-  }
-  ++stats_.served_local_disk;
-  reply_to_client(request);
+void PressNode::serve_from_disk(const workload::HttpRequest& request) {
+  read_from_disk(request.file, [this, request] {
+    insert_cache_and_broadcast(request.file);
+    if (stale(request.sent_at)) {
+      // The client gave up long ago; the read was wasted work.
+      ++stats_.shed_stale;
+      --active_requests_;
+      return;
+    }
+    ++stats_.served_local_disk;
+    reply_to_client(request);
+  });
 }
 
 void PressNode::reply_to_client(const workload::HttpRequest& request) {
@@ -386,6 +400,13 @@ bool PressNode::load_allows_forward(net::NodeId peer) const {
 void PressNode::forward_to(net::NodeId peer,
                            const workload::HttpRequest& request,
                            bool allow_reroute) {
+  auto divert = [&] {
+    if (allow_reroute) {
+      reroute(request, peer);
+    } else {
+      serve_from_disk(request);
+    }
+  };
   auto& q = sendq(peer);
   if (q.over_slow_threshold(sim_.now()) && !q.admit_probe(rng_)) {
     // Hardened qmon: the peer is answering acks (so the window never
@@ -395,44 +416,17 @@ void PressNode::forward_to(net::NodeId peer,
     ++stats_.rerouted_slow;
     trace::emit(sim_, Category::kQmon, Kind::kQueueSlowPeer, id(), peer);
     mark("slow_peer", peer);
-    if (allow_reroute) {
-      reroute(request, peer);
-    } else {
-      serve_from_disk(request);
-    }
+    divert();
     return;
   }
-  const std::uint64_t fid = next_forward_id_++;
-  qmon::SelfMonitoringQueue::Entry entry;
-  entry.port = net::ports::kPressIntra;
-  entry.bytes = wire::kForwardRequest;
-  entry.is_request = true;
-  entry.request_id = fid;
-  entry.body = net::make_body<ForwardRequest>(
-      ForwardRequest{request.file, fid, id(), load(), request.sent_at});
-
-  switch (q.push(std::move(entry), rng_)) {
+  switch (push_forward(peer, request)) {
     case qmon::SelfMonitoringQueue::PushResult::kQueued:
-      trace::emit(sim_, Category::kQmon, Kind::kQueuePush, id(), peer,
-                  static_cast<std::int64_t>(q.queued_requests()),
-                  static_cast<std::int64_t>(q.queued_total()));
-      forwards_[fid] =
-          PendingForward{request, peer, sim_.now() + p_.request_shed_age};
-      if (q.over_fail_threshold()) {
-        qmon_fail(peer);
-        return;
-      }
-      pump_queue(peer);
       return;
     case qmon::SelfMonitoringQueue::PushResult::kReroute:
       ++stats_.rerouted;
       trace::emit(sim_, Category::kQmon, Kind::kQueueReroute, id(), peer,
                   static_cast<std::int64_t>(q.queued_requests()));
-      if (allow_reroute) {
-        reroute(request, peer);
-      } else {
-        serve_from_disk(request);
-      }
+      divert();
       return;
     case qmon::SelfMonitoringQueue::PushResult::kWouldBlock:
       // Base PRESS (no queue monitoring): the coordinating thread blocks on
@@ -442,37 +436,41 @@ void PressNode::forward_to(net::NodeId peer,
       block_main("send_queue", [this, peer, request] {
         if (!coop_.contains(peer)) {
           // Peer excluded while we were blocked: serve it ourselves.
-          if (cache_.touch(request.file)) {
-            serve_local_hit(request);
-          } else {
-            serve_from_disk(request);
-          }
+          serve_here(request);
           return true;
         }
-        auto& queue = sendq(peer);
-        if (queue.at_block_capacity()) return false;
-        const std::uint64_t id2 = next_forward_id_++;
-        qmon::SelfMonitoringQueue::Entry e2;
-        e2.port = net::ports::kPressIntra;
-        e2.bytes = wire::kForwardRequest;
-        e2.is_request = true;
-        e2.request_id = id2;
-        e2.body = net::make_body<ForwardRequest>(ForwardRequest{
-            request.file, id2, id(), load(), request.sent_at});
-        if (queue.push(std::move(e2), rng_) !=
-            qmon::SelfMonitoringQueue::PushResult::kQueued) {
-          return false;
-        }
-        trace::emit(sim_, Category::kQmon, Kind::kQueuePush, id(), peer,
-                    static_cast<std::int64_t>(queue.queued_requests()),
-                    static_cast<std::int64_t>(queue.queued_total()));
-        forwards_[id2] =
-            PendingForward{request, peer, sim_.now() + p_.request_shed_age};
-        pump_queue(peer);
-        return true;
+        if (sendq(peer).at_block_capacity()) return false;
+        return push_forward(peer, request) ==
+               qmon::SelfMonitoringQueue::PushResult::kQueued;
       });
       return;
   }
+}
+
+qmon::SelfMonitoringQueue::PushResult PressNode::push_forward(
+    net::NodeId peer, const workload::HttpRequest& request) {
+  auto& q = sendq(peer);
+  const std::uint64_t fid = next_forward_id_++;
+  qmon::SelfMonitoringQueue::Entry entry;
+  entry.port = net::ports::kPressIntra;
+  entry.bytes = wire::kForwardRequest;
+  entry.is_request = true;
+  entry.request_id = fid;
+  entry.body = net::make_body<ForwardRequest>(
+      ForwardRequest{request.file, fid, id(), load(), request.sent_at});
+  const auto result = q.push(std::move(entry), rng_);
+  if (result != qmon::SelfMonitoringQueue::PushResult::kQueued) return result;
+  trace::emit(sim_, Category::kQmon, Kind::kQueuePush, id(), peer,
+              static_cast<std::int64_t>(q.queued_requests()),
+              static_cast<std::int64_t>(q.queued_total()));
+  forwards_[fid] =
+      PendingForward{request, peer, sim_.now() + p_.request_shed_age};
+  if (q.over_fail_threshold()) {
+    qmon_fail(peer);
+  } else {
+    pump_queue(peer);
+  }
+  return result;
 }
 
 void PressNode::reroute(const workload::HttpRequest& request,
@@ -497,11 +495,6 @@ void PressNode::reroute(const workload::HttpRequest& request,
 // ---------------------------------------------------------------------------
 
 void PressNode::on_forward_request(const net::Packet& packet) {
-  if (!process_up_) return;
-  if (!main_ok()) {
-    if (backlog_.size() < kBacklogCapacity) backlog_.push_back(packet);
-    return;
-  }
   const auto msg = net::body_as<ForwardRequest>(packet);
   // The receive thread has read the forward off the connection: grant the
   // sender its flow-control credit immediately (reply comes much later).
@@ -523,9 +516,7 @@ void PressNode::on_forward_request(const net::Packet& packet) {
                        ForwardReply{msg.forward_id, success, load()}),
                    bytes, /*reliable=*/true);
     };
-    const bool is_stale =
-        msg.sent_at > 0 && sim_.now() - msg.sent_at > p_.request_shed_age;
-    if (is_stale) {
+    if (stale(msg.sent_at)) {
       ++stats_.shed_stale;
       reply(false, wire::kControl);
       return;
@@ -543,36 +534,19 @@ void PressNode::on_forward_request(const net::Packet& packet) {
     // Directory thought we cache it but it was evicted: read it from our
     // disk, cache it, then reply. The read occupies a service slot.
     ++active_requests_;
-    disk::Disk* d = disks_[disk_index(msg.file)];
-    auto completion = [this, e = epoch_, msg, reply] {
-      if (epoch_ != e || !process_up_) return;
-      schedule_cpu(p_.cpu_disk_finish, [this, msg, reply] {
-        insert_cache_and_broadcast(msg.file);
-        ++stats_.served_remote;
-        --active_requests_;
-        reply(true, files_.file_bytes);
-      });
-    };
-    if (!d->submit(files_.file_bytes, completion)) {
-      // availlint: hot-ok(runs only on a full disk queue, once per blocked episode)
-      block_main("disk_queue", [this, d, completion] {
-        return d->submit(files_.file_bytes, completion);
-      });
-    }
+    read_from_disk(msg.file, [this, msg, reply] {
+      insert_cache_and_broadcast(msg.file);
+      ++stats_.served_remote;
+      --active_requests_;
+      reply(true, files_.file_bytes);
+    });
   });
 }
 
 void PressNode::on_forward_reply(const net::Packet& packet) {
-  if (!process_up_) return;
-  if (!main_ok()) {
-    if (backlog_.size() < kBacklogCapacity) backlog_.push_back(packet);
-    return;
-  }
   const auto msg = net::body_as<ForwardReply>(packet);
   dir_.set_load(packet.src, msg.load);
-  if (auto sq = sendq_.find(packet.src); sq != sendq_.end()) {
-    sq->second->complete(msg.forward_id);
-  }
+  if (auto& q = peer_state(packet.src).sendq) q->complete(msg.forward_id);
   auto it = forwards_.find(msg.forward_id);
   if (it == forwards_.end()) return;  // purged during an exclusion
   const workload::HttpRequest request = it->second.request;
@@ -581,23 +555,16 @@ void PressNode::on_forward_reply(const net::Packet& packet) {
   if (msg.success) {
     schedule_cpu(p_.cpu_relay_reply,
                  [this, request] { reply_to_client(request); });
-  } else if (cache_.touch(request.file)) {
-    serve_local_hit(request);
   } else {
-    serve_from_disk(request);
+    serve_here(request);
   }
 }
 
 void PressNode::on_forward_ack(const net::Packet& packet) {
-  if (!process_up_) return;
-  if (hung_ || !host_ok()) {
-    if (backlog_.size() < kBacklogCapacity) backlog_.push_back(packet);
-    return;
-  }
   const auto& ack = net::body_as<ForwardAck>(packet);
   dir_.set_load(packet.src, ack.load);
-  if (auto it = sendq_.find(packet.src); it != sendq_.end()) {
-    it->second->credit(ack.forward_id);
+  if (auto& q = peer_state(packet.src).sendq) {
+    q->credit(ack.forward_id);
     pump_queue(packet.src);
     // Credits may have drained the queue below its block threshold.
     if (blocked_) try_unblock();
@@ -608,11 +575,6 @@ void PressNode::on_cache_update(const net::Packet& packet) {
   // Directory bookkeeping is receive-thread work: it stays fresh even
   // while the coordinating thread is blocked (only a hung process loses
   // it temporarily).
-  if (!process_up_) return;
-  if (hung_ || !host_ok()) {
-    if (backlog_.size() < kBacklogCapacity) backlog_.push_back(packet);
-    return;
-  }
   const auto& msg = net::body_as<CacheUpdate>(packet);
   if (!coop_.contains(packet.src)) return;
   dir_.set_load(packet.src, msg.load);
@@ -624,11 +586,6 @@ void PressNode::on_cache_update(const net::Packet& packet) {
 }
 
 void PressNode::on_cache_snapshot(const net::Packet& packet) {
-  if (!process_up_) return;
-  if (hung_ || !host_ok()) {
-    if (backlog_.size() < kBacklogCapacity) backlog_.push_back(packet);
-    return;
-  }
   const auto& msg = net::body_as<CacheSnapshot>(packet);
   if (!coop_.contains(msg.owner)) return;
   dir_.install_snapshot(msg.owner, msg.files);
@@ -636,27 +593,15 @@ void PressNode::on_cache_snapshot(const net::Packet& packet) {
 }
 
 qmon::SelfMonitoringQueue& PressNode::sendq(net::NodeId peer) {
-  auto it = sendq_.find(peer);
-  if (it == sendq_.end()) {
-    it = sendq_
-             // availlint: hot-ok(one queue per peer, built on first contact; steady state is the flat-map find above)
-             .emplace(peer, std::make_unique<qmon::SelfMonitoringQueue>(
-                                p_.qmon, p_.block_queue_capacity,
-                                p_.forward_window))
-             .first;
-  }
-  return *it->second;
-}
-
-std::size_t PressNode::send_queue_depth(net::NodeId peer) const {
-  auto it = sendq_.find(peer);
-  return it == sendq_.end() ? 0 : it->second->queued_total();
+  auto& q = peer_state(peer).sendq;
+  if (!q) q.emplace(p_.qmon, p_.block_queue_capacity, p_.forward_window);
+  return *q;
 }
 
 void PressNode::pump_queue(net::NodeId peer) {
-  auto it = sendq_.find(peer);
-  if (it == sendq_.end()) return;
-  auto& q = *it->second;
+  auto& sq = peer_state(peer).sendq;
+  if (!sq) return;
+  auto& q = *sq;
   while (auto entry = q.pop_transmittable(sim_.now())) {
     trace::emit(sim_, Category::kQmon, Kind::kQueuePop, id(), peer,
                 static_cast<std::int64_t>(q.queued_requests()),
@@ -680,9 +625,9 @@ void PressNode::on_forward_refused(net::NodeId peer, std::uint64_t forward_id) {
   // Helper-thread territory (a TCP RST): usable even while blocked, lost
   // while hung.
   if (hung_ || !host_ok()) return;
-  if (auto it = sendq_.find(peer); it != sendq_.end()) {
-    it->second->credit(forward_id);
-    it->second->complete(forward_id);
+  if (auto& q = peer_state(peer).sendq) {
+    q->credit(forward_id);
+    q->complete(forward_id);
     pump_queue(peer);
   }
   auto it = forwards_.find(forward_id);
@@ -693,16 +638,12 @@ void PressNode::on_forward_refused(net::NodeId peer, std::uint64_t forward_id) {
   if (report_node_down) report_node_down(peer);
   // Fall back to serving the request ourselves.
   schedule_cpu(p_.cpu_control, [this, request] {
-    if (stale(request)) {
+    if (stale(request.sent_at)) {
       ++stats_.shed_stale;
       --active_requests_;
       return;
     }
-    if (cache_.touch(request.file)) {
-      serve_local_hit(request);
-    } else {
-      serve_from_disk(request);
-    }
+    serve_here(request);
   });
 }
 
@@ -743,26 +684,16 @@ void PressNode::send_control(net::NodeId dst, int port,
 // ---------------------------------------------------------------------------
 
 void PressNode::on_heartbeat(const net::Packet& packet) {
-  if (!process_up_) return;
-  if (hung_ || !host_ok()) {
-    if (backlog_.size() < kBacklogCapacity) backlog_.push_back(packet);
-    return;
-  }
   const auto& hb = net::body_as<Heartbeat>(packet);
-  last_heartbeat_[hb.from] = sim_.now();
+  peer_state(hb.from).last_heartbeat = sim_.now();
   trace::emit(sim_, Category::kPress, Kind::kPressHbSeen, id(), hb.from);
   dir_.set_load(hb.from, hb.load);
 }
 
 void PressNode::on_control(const net::Packet& packet) {
-  if (!process_up_) return;
-  if (hung_ || !host_ok()) {
-    if (backlog_.size() < kBacklogCapacity) backlog_.push_back(packet);
-    return;
-  }
   const auto& ctl = net::body_as<ControlMsg>(packet);
   std::visit(
-      [this, &packet](const auto& msg) {
+      [this](const auto& msg) {
         using T = std::decay_t<decltype(msg)>;
         if constexpr (std::is_same_v<T, Exclude>) {
           if (coop_.contains(msg.by)) exclude_node(msg.excluded);
@@ -771,7 +702,7 @@ void PressNode::on_control(const net::Packet& packet) {
         } else if constexpr (std::is_same_v<T, RejoinReply>) {
           handle_rejoin_reply(msg);
         } else if constexpr (std::is_same_v<T, JoinAnnounce>) {
-          handle_join_announce(msg, packet.src);
+          handle_join_announce(msg);
         }
       },
       ctl.msg);
@@ -813,15 +744,15 @@ void PressNode::arm_monitor_timer() {
 void PressNode::check_predecessor() {
   if (coop_.size() < 2) return;
   const net::NodeId pred = ring_predecessor();
-  auto it = last_heartbeat_.find(pred);
-  if (it == last_heartbeat_.end()) {
-    last_heartbeat_[pred] = sim_.now();  // grace period for a new neighbour
+  sim::Time& seen = peer_state(pred).last_heartbeat;
+  if (seen == Peer::kNever) {
+    seen = sim_.now();  // grace period for a new neighbour
     trace::emit(sim_, Category::kPress, Kind::kPressHbSeen, id(), pred);
     return;
   }
   const sim::Time deadline =
       p_.heartbeat_tolerance * p_.heartbeat_period + p_.heartbeat_period / 2;
-  if (sim_.now() - it->second > deadline) {
+  if (sim_.now() - seen > deadline) {
     initiate_exclusion(pred);
   }
 }
@@ -864,20 +795,21 @@ void PressNode::exclude_node(net::NodeId target) {
     // We were presumed dead by the others. Continue alone (splinter).
     ++stats_.self_exclusions;
     mark("self_excluded");
-    // Purge queues in node-id order (FlatMap iteration).  The walk is in
-    // place: fail_forward_ids() only retires forwards_ entries and bumps
-    // counters, it never touches sendq_.
-    for (const auto& [peer, q] : sendq_) {
-      fail_forward_ids(q->purge());
-      trace::emit(sim_, Category::kQmon, Kind::kQueuePurge, id(), peer);
+    // Purge queues in node-id order and forget every peer.
+    // fail_forward_ids() only retires forwards_ entries and bumps counters.
+    for (std::size_t n = 0; n < peers_.size(); ++n) {
+      if (auto& q = peers_[n].sendq) {
+        fail_forward_ids(q->purge());
+        trace::emit(sim_, Category::kQmon, Kind::kQueuePurge, id(),
+                    static_cast<net::NodeId>(n));
+      }
+      peers_[n] = Peer{};
     }
-    sendq_.clear();
     coop_.clear();
     coop_.insert(id());
     trace::emit(sim_, Category::kPress, Kind::kPressSelfExclude, id(), 0,
                 static_cast<std::int64_t>(coop_mask()));
     dir_ = Directory{};
-    last_heartbeat_.clear();
     if (blocked_) try_unblock();
     return;
   }
@@ -887,12 +819,12 @@ void PressNode::exclude_node(net::NodeId target) {
               static_cast<std::int64_t>(coop_mask()));
   mark("exclude", target);
   dir_.remove_node(target);
-  last_heartbeat_.erase(target);
-  if (auto it = sendq_.find(target); it != sendq_.end()) {
-    fail_forward_ids(it->second->purge());
-    sendq_.erase(it);
+  Peer& gone = peer_state(target);
+  if (gone.sendq) {
+    fail_forward_ids(gone.sendq->purge());
     trace::emit(sim_, Category::kQmon, Kind::kQueuePurge, id(), target);
   }
+  gone = Peer{};
   reset_heartbeat_grace();
   if (blocked_) try_unblock();
 }
@@ -900,7 +832,7 @@ void PressNode::exclude_node(net::NodeId target) {
 void PressNode::reset_heartbeat_grace() {
   if (coop_.size() < 2) return;
   const net::NodeId pred = ring_predecessor();
-  last_heartbeat_[pred] = sim_.now();
+  peer_state(pred).last_heartbeat = sim_.now();
   trace::emit(sim_, Category::kPress, Kind::kPressHbSeen, id(), pred);
 }
 
@@ -917,8 +849,8 @@ void PressNode::arm_forward_sweeper() {
         if (sim_.now() > it->second.deadline) {
           --active_requests_;
           ++stats_.forward_failures;
-          if (auto sq = sendq_.find(it->second.peer); sq != sendq_.end()) {
-            sq->second->complete(it->first);  // stop the service-age clock
+          if (auto& q = peer_state(it->second.peer).sendq) {
+            q->complete(it->first);  // stop the service-age clock
           }
           it = forwards_.erase(it);
         } else {
@@ -981,16 +913,19 @@ void PressNode::handle_rejoin_reply(const RejoinReply& msg) {
   reset_heartbeat_grace();
 }
 
-void PressNode::handle_join_announce(const JoinAnnounce& msg,
-                                     net::NodeId /*from*/) {
+void PressNode::handle_join_announce(const JoinAnnounce& msg) {
   add_member(msg.joiner);
   mark("member_joined", msg.joiner);
+  send_snapshot(msg.joiner);
+}
+
+void PressNode::send_snapshot(net::NodeId to) {
   CacheSnapshot snap;
   snap.owner = id();
   snap.files = cache_.resident();
   snap.load = load();
   const std::size_t bytes = wire::snapshot_bytes(snap.files.size());
-  send_control(msg.joiner, net::ports::kPressSnapshot,
+  send_control(to, net::ports::kPressSnapshot,
                net::make_body<CacheSnapshot>(std::move(snap)), bytes,
                /*reliable=*/true);
 }
@@ -1017,14 +952,7 @@ void PressNode::node_in(net::NodeId node) {
   trace::emit(sim_, Category::kPress, Kind::kPressAddMember, id(), node,
               static_cast<std::int64_t>(coop_mask()));
   mark("node_in", node);
-  CacheSnapshot snap;
-  snap.owner = id();
-  snap.files = cache_.resident();
-  snap.load = load();
-  const std::size_t bytes = wire::snapshot_bytes(snap.files.size());
-  send_control(node, net::ports::kPressSnapshot,
-               net::make_body<CacheSnapshot>(std::move(snap)), bytes,
-               /*reliable=*/true);
+  send_snapshot(node);
 }
 
 void PressNode::node_out(net::NodeId node) {

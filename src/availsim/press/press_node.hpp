@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cassert>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -107,7 +108,6 @@ class PressNode {
   const Stats& stats() const { return stats_; }
   const LruCache& cache() const { return cache_; }
   const Directory& directory() const { return dir_; }
-  std::size_t send_queue_depth(net::NodeId peer) const;
 
   /// Marker stream for the measurement harness ("exclude", "blocked",
   /// "rejoined", ...).
@@ -121,6 +121,10 @@ class PressNode {
   void mark(const char* m, net::NodeId about = net::kNoNode);
   std::uint64_t coop_mask() const;
 
+  /// Intake for every port: drops the packet if the process is down,
+  /// parks it while the thread that reads its port cannot run, and
+  /// otherwise hands it to the port's handler.
+  void receive(const net::Packet& packet);
   /// Runs `fn` on the coordinating thread's CPU after `cost` service time;
   /// parks it if the main loop cannot run when its turn comes. A template
   /// so the event captures `fn` itself: a type-erased callable nested
@@ -137,16 +141,26 @@ class PressNode {
   void on_http(const net::Packet& packet);
   void prewarm_cache();
   void route(const workload::HttpRequest& request);
-  bool stale(const workload::HttpRequest& request) const;
+  /// True when a request sent at `sent_at` is older than the client waits.
+  bool stale(sim::Time sent_at) const;
   std::size_t disk_index(workload::FileId file) const;
+  /// Serves `request` from the cache if it is there, else from disk.
+  void serve_here(const workload::HttpRequest& request);
   void serve_local_hit(const workload::HttpRequest& request);
   void serve_from_disk(const workload::HttpRequest& request);
-  void finish_disk_read(const workload::HttpRequest& request);
+  /// Reads `file` from its disk, then runs `then` on the coordinating CPU.
+  /// A full disk queue blocks the coordinating thread until it has room.
+  template <typename F>
+  void read_from_disk(workload::FileId file, F then);
   void reply_to_client(const workload::HttpRequest& request);
   void insert_cache_and_broadcast(workload::FileId file);
   bool load_allows_forward(net::NodeId peer) const;
   void forward_to(net::NodeId peer, const workload::HttpRequest& request,
                   bool allow_reroute);
+  /// Queues `request` for `peer`. Once queued it is a pending forward, and
+  /// the queue either fails the peer (past qmon's threshold) or is pumped.
+  qmon::SelfMonitoringQueue::PushResult push_forward(
+      net::NodeId peer, const workload::HttpRequest& request);
   void reroute(const workload::HttpRequest& request, net::NodeId avoid);
 
   // --- intra-cluster ---
@@ -158,6 +172,7 @@ class PressNode {
   void pump_queue(net::NodeId peer);
   void on_forward_refused(net::NodeId peer, std::uint64_t forward_id);
   void fail_forward_ids(const std::vector<std::uint64_t>& ids);
+  /// The send queue to `peer`, built on first use.
   qmon::SelfMonitoringQueue& sendq(net::NodeId peer);
   void qmon_fail(net::NodeId peer);
   void send_control(net::NodeId dst, int port,
@@ -180,7 +195,8 @@ class PressNode {
   void send_rejoin_request();
   void handle_rejoin_request(const RejoinRequest& msg);
   void handle_rejoin_reply(const RejoinReply& msg);
-  void handle_join_announce(const JoinAnnounce& msg, net::NodeId from);
+  void handle_join_announce(const JoinAnnounce& msg);
+  void send_snapshot(net::NodeId to);
   void add_member(net::NodeId node);
   void reset_heartbeat_grace();
 
@@ -211,8 +227,20 @@ class PressNode {
   LruCache cache_;
   Directory dir_;
   sim::FlatSet<net::NodeId> coop_;
-  sim::FlatMap<net::NodeId, std::unique_ptr<qmon::SelfMonitoringQueue>>
-      sendq_;
+  /// What this process knows about one peer.
+  struct Peer {
+    static constexpr sim::Time kNever = -1;
+    std::optional<qmon::SelfMonitoringQueue> sendq;  // built on first use
+    /// Its last heartbeat, or the start of its grace period; kNever until
+    /// the ring first watches it.
+    sim::Time last_heartbeat = kNever;
+  };
+  /// By NodeId. Ids are dense, and the table covers every configured id.
+  std::vector<Peer> peers_;
+  Peer& peer_state(net::NodeId node) {
+    assert(node >= 0 && static_cast<std::size_t>(node) < peers_.size());
+    return peers_[static_cast<std::size_t>(node)];
+  }
   struct PendingForward {
     workload::HttpRequest request;
     net::NodeId peer = net::kNoNode;
@@ -220,7 +248,6 @@ class PressNode {
   };
   sim::FlatMap<std::uint64_t, PendingForward> forwards_;
   std::uint64_t next_forward_id_ = 1;
-  sim::FlatMap<net::NodeId, sim::Time> last_heartbeat_;
   std::deque<net::Packet> backlog_;
   std::deque<sim::EventFn> paused_;
   sim::Time cpu_free_ = 0;

@@ -1,15 +1,17 @@
 #pragma once
 // Flat sorted-vector containers for per-event state keyed by small ids
-// (NodeId, request ids).  One contiguous allocation instead of a node per
-// element: no per-insert heap traffic on the hot path, cache-friendly
+// (NodeId sets, request ids).  One contiguous allocation instead of a node
+// per element: no per-insert heap traffic on the hot path, cache-friendly
 // scans, and iteration is in ascending key order by construction — so
 // send loops need no sorted copy, and hash order can never leak into
 // event order.
 //
 // Deliberately minimal: exactly the operations the subsystems use.
 // Inserts shift the tail (O(n)), which is the right trade for the
-// cluster-sized (tens of entries) and append-mostly (monotonic request
-// ids) maps these replace.
+// cluster-sized (tens of entries) sets and append-mostly maps these
+// replace.  Per-node state is a plain vector indexed by NodeId instead
+// (ids are dense); the two FlatMaps left, press forwards_ and qmon
+// outstanding_, are keyed by monotone request ids.
 
 #include <algorithm>
 #include <cstddef>

@@ -16,7 +16,21 @@ Client::Client(sim::Simulator& simulator, net::Network& client_net,
       self_(self),
       rng_(std::move(rng)),
       params_(params),
-      popularity_(popularity),
+      popularity_(&popularity),
+      recorder_(recorder) {
+  self_.bind(net::ports::kClientReply,
+             [this](const net::Packet& p) { on_reply(p); });
+}
+
+Client::Client(sim::Simulator& simulator, net::Network& client_net,
+               net::Host& self, const Trace& trace, Replay replay,
+               Recorder& recorder)
+    : sim_(simulator),
+      net_(client_net),
+      self_(self),
+      rng_(0),  // unused: a replay draws nothing
+      trace_(&trace),
+      replay_(replay),
       recorder_(recorder) {
   self_.bind(net::ports::kClientReply,
              [this](const net::Packet& p) { on_reply(p); });
@@ -30,30 +44,52 @@ void Client::set_destinations(std::vector<net::NodeId> destinations,
 }
 
 void Client::start() {
-  if (running_) return;
+  if (running_ || (trace_ != nullptr && trace_->size() == 0)) return;
   running_ = true;
+  ++epoch_;
+  cursor_ = 0;
+  loop_start_ = sim_.now();
   schedule_next_arrival();
 }
 
-void Client::stop() { running_ = false; }
+void Client::stop() {
+  running_ = false;
+  ++epoch_;
+}
 
 void Client::schedule_next_arrival() {
-  if (!running_) return;
-  double rate = params_.rate;
-  if (params_.ramp > 0 && sim_.now() < params_.ramp) {
-    const double frac = static_cast<double>(sim_.now()) /
-                        static_cast<double>(params_.ramp);
-    rate *= std::max(0.05, frac);
+  sim::Time at = 0;
+  if (trace_ == nullptr) {
+    double rate = params_.rate;
+    if (params_.ramp > 0 && sim_.now() < params_.ramp) {
+      const double frac = static_cast<double>(sim_.now()) /
+                          static_cast<double>(params_.ramp);
+      rate *= std::max(0.05, frac);
+    }
+    at = sim_.now() + sim::from_seconds(rng_.exponential(1.0 / rate));
+  } else {
+    if (cursor_ >= trace_->size()) {
+      if (!replay_.loop) {
+        running_ = false;
+        return;
+      }
+      cursor_ = 0;
+      loop_start_ = sim_.now();
+    }
+    at = loop_start_ +
+         static_cast<sim::Time>(
+             static_cast<double>(trace_->entries()[cursor_].at) /
+             replay_.speedup);
   }
-  const sim::Time gap = sim::from_seconds(rng_.exponential(1.0 / rate));
-  sim_.schedule_after(gap, [this] {
-    if (!running_) return;
-    send_request();
+  sim_.schedule_at(at, [this, e = epoch_] {
+    if (epoch_ != e) return;
+    send_request(trace_ == nullptr ? popularity_->sample(rng_)
+                                   : trace_->entries()[cursor_++].file);
     schedule_next_arrival();
   });
 }
 
-void Client::send_request() {
+void Client::send_request(FileId file) {
   const std::uint64_t id = next_request_id_++;
   const net::NodeId dst = destinations_[rr_ % destinations_.size()];
   ++rr_;
@@ -72,8 +108,7 @@ void Client::send_request() {
   options.reliable = true;
   options.on_refused = [this, id] { fail(id, FailureReason::kRefused); };
   net_.send(self_.id(), dst, dst_port_, kHttpRequestBytes,
-            net::make_body<HttpRequest>(
-                HttpRequest{popularity_.sample(rng_), self_.id(), id}),
+            net::make_body<HttpRequest>(HttpRequest{file, self_.id(), id}),
             std::move(options));
 
   // 2 s connect timeout: if the destination is unreachable or dead when the

@@ -9,13 +9,19 @@
 #include "availsim/workload/http.hpp"
 #include "availsim/workload/recorder.hpp"
 #include "availsim/workload/popularity.hpp"
+#include "availsim/workload/trace.hpp"
 
 namespace availsim::workload {
 
-/// An open-loop HTTP client: requests arrive as a Poisson process with a
-/// fixed average rate (paper §5) regardless of server state, each request
-/// timing out after 2 s if the connection cannot be established and after
-/// 6 s if, once connected, it is not completed.
+/// An open-loop HTTP client: requests arrive regardless of server state,
+/// each request timing out after 2 s if the connection cannot be
+/// established and after 6 s if, once connected, it is not completed
+/// (paper §5).
+///
+/// Arrivals come from one of two sources: a Poisson process with a fixed
+/// average rate, files drawn from a popularity model, or the replay of a
+/// recorded trace. Everything after the arrival is the same request
+/// lifecycle.
 ///
 /// Destination selection models round-robin DNS (rotating over the server
 /// list, oblivious to failures) or a front-end VIP (single destination).
@@ -30,14 +36,32 @@ class Client {
     sim::Time ramp = 0;
   };
 
+  /// Trace replay: each entry is sent at its recorded offset from start(),
+  /// divided by `speedup` (2.0 = replay twice as fast). With `loop` the
+  /// trace starts over when it runs out, so long availability runs can use
+  /// short traces.
+  struct Replay {
+    double speedup = 1.0;
+    bool loop = true;
+  };
+
+  /// Poisson arrivals at `params.rate`, files drawn from `popularity`.
   Client(sim::Simulator& simulator, net::Network& client_net, net::Host& self,
          sim::Rng rng, Params params, const Popularity& popularity,
          Recorder& recorder);
+  /// Replays `trace`, which must outlive the client, with the default
+  /// timeouts.
+  Client(sim::Simulator& simulator, net::Network& client_net, net::Host& self,
+         const Trace& trace, Replay replay, Recorder& recorder);
 
   /// Servers (or the front-end VIP) this client rotates over.
   void set_destinations(std::vector<net::NodeId> destinations, int port);
 
+  /// Starts arrivals (a replay starts at the trace's beginning). An empty
+  /// trace does not start.
   void start();
+  /// Stops arrivals; the pending arrival is dropped, so a start() right
+  /// after it runs one arrival stream, not two.
   void stop();
 
   std::size_t outstanding() const { return outstanding_; }
@@ -51,8 +75,9 @@ class Client {
     bool open = false;  // false once replied to or failed
   };
 
+  /// Schedules the next arrival from the Poisson law or the trace cursor.
   void schedule_next_arrival();
-  void send_request();
+  void send_request(FileId file);
   void on_reply(const net::Packet& packet);
   void fail(std::uint64_t request_id, FailureReason reason);
   /// The open request `request_id`, or nullptr if it already completed.
@@ -66,12 +91,19 @@ class Client {
   net::Host& self_;
   sim::Rng rng_;
   Params params_;
-  const Popularity& popularity_;
+  const Popularity* popularity_ = nullptr;  // Poisson arrivals
+  const Trace* trace_ = nullptr;            // trace replay
+  Replay replay_;
+  std::size_t cursor_ = 0;     // next trace entry
+  sim::Time loop_start_ = 0;   // when the current pass over the trace began
   Recorder& recorder_;
   std::vector<net::NodeId> destinations_;
   int dst_port_ = net::ports::kPressHttp;
   std::size_t rr_ = 0;
   bool running_ = false;
+  /// Bumped by start() and stop(): an arrival scheduled under an older
+  /// epoch does nothing.
+  std::uint64_t epoch_ = 0;
   std::uint64_t next_request_id_ = 0;
   // Requests [next_request_id_ - pending_.size(), next_request_id_), in id
   // order: ids are handed out monotonically, so an id indexes the ring

@@ -2,14 +2,12 @@
 
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
-#include "availsim/net/network.hpp"
 #include "availsim/sim/rng.hpp"
-#include "availsim/workload/http.hpp"
+#include "availsim/sim/time.hpp"
+#include "availsim/workload/fileset.hpp"
 #include "availsim/workload/popularity.hpp"
-#include "availsim/workload/recorder.hpp"
 
 namespace availsim::workload {
 
@@ -46,58 +44,6 @@ class Trace {
 
  private:
   std::vector<TraceEntry> entries_;
-};
-
-/// Replays a trace against a destination set (RR-DNS or a front-end VIP),
-/// with the same timeout semantics as the Poisson client. The trace loops
-/// when it runs out, so long availability runs can use short traces.
-class TraceClient {
- public:
-  struct Params {
-    sim::Time connect_timeout = 2 * sim::kSecond;
-    sim::Time completion_timeout = 6 * sim::kSecond;
-    /// Multiplies the trace's recorded rate (2.0 = replay twice as fast).
-    double speedup = 1.0;
-    bool loop = true;
-  };
-
-  TraceClient(sim::Simulator& simulator, net::Network& client_net,
-              net::Host& self, const Trace& trace, Params params,
-              Recorder& recorder);
-
-  void set_destinations(std::vector<net::NodeId> destinations, int port);
-  void start();
-  void stop();
-
-  std::size_t outstanding() const { return pending_.size(); }
-
- private:
-  struct Pending {
-    sim::EventId connect_check = sim::kInvalidEvent;
-    sim::EventId completion_timeout = sim::kInvalidEvent;
-    net::NodeId dst = net::kNoNode;
-  };
-
-  void arm_next();
-  void fire(const TraceEntry& entry);
-  void on_reply(const net::Packet& packet);
-  void fail(std::uint64_t request_id, FailureReason reason);
-
-  sim::Simulator& sim_;
-  net::Network& net_;
-  net::Host& self_;
-  const Trace& trace_;
-  Params params_;
-  Recorder& recorder_;
-  std::vector<net::NodeId> destinations_;
-  int dst_port_ = net::ports::kPressHttp;
-  std::size_t rr_ = 0;
-  std::size_t cursor_ = 0;
-  sim::Time epoch_start_ = 0;  // sim time when the current loop began
-  bool running_ = false;
-  std::uint64_t run_epoch_ = 0;
-  std::uint64_t next_request_id_ = 0;
-  std::unordered_map<std::uint64_t, Pending> pending_;
 };
 
 }  // namespace availsim::workload

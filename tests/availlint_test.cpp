@@ -452,6 +452,33 @@ TEST(AvailLintHot, LambdaConversionHotOkSuppresses) {
   EXPECT_EQ(count_rule(diags, "hot-alloc"), 3) << dump(diags);
 }
 
+TEST(AvailLintHot, RosterEntryThatNamesNoFunctionIsReported) {
+  // A renamed root (here on_http, which the fixture does not define) would
+  // silently drop its call tree from hot-alloc.
+  Config cfg = repo_config();
+  cfg.hot_domains = {"src/availsim/press/"};
+  cfg.hot_paths = {"PressNode::pump_queue", "PressNode::on_http"};
+  Engine engine(cfg);
+  engine.add_file(kPumpCpp, fixture("hot_alloc_bad.cpp.fixture"));
+  const auto diags = engine.run();
+  ASSERT_EQ(count_rule(diags, "hot-roster", "availlint.rules"), 1)
+      << dump(diags);
+  for (const Diagnostic& d : diags) {
+    if (d.rule != "hot-roster") continue;
+    EXPECT_NE(d.message.find("'PressNode::on_http'"), std::string::npos)
+        << d.str();
+  }
+  // The resolved root still drives the check.
+  EXPECT_EQ(count_rule(diags, "hot-alloc"), 2) << dump(diags);
+
+  // Files that miss a hot domain cannot tell a missing root from one that
+  // was not linted: no finding.
+  cfg.hot_domains.push_back("src/availsim/qmon/");
+  Engine partial(cfg);
+  partial.add_file(kPumpCpp, fixture("hot_alloc_bad.cpp.fixture"));
+  EXPECT_EQ(count_rule(partial.run(), "hot-roster"), 0);
+}
+
 TEST(AvailLintHot, PassTimingsCoverEveryPass) {
   Engine engine(repo_config());
   engine.add_file(kPumpCpp, fixture("hot_alloc_bad.cpp.fixture"));

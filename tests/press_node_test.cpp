@@ -3,6 +3,7 @@
 // rejoin, and the coordinating-thread blocking semantics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "availsim/net/network.hpp"
@@ -196,6 +197,52 @@ TEST_F(MiniCluster, DeadDiskWedgesTheCoordinatingThread) {
   // ... and the wedged node is eventually excluded by its peers.
   sim_.run_until(sim_.now() + 40 * sim::kSecond);
   EXPECT_FALSE(nodes_[0]->coop_set().contains(1));
+}
+
+TEST_F(MiniCluster, BlockedMainLoopReadsHelperPortsAndParksRequests) {
+  boot();
+  // Wedge node 1's coordinating thread on a dead disk, as above.
+  disks_[2]->fail_timeout();
+  std::uint64_t id = 1;
+  for (int round = 0; round < 700 && !nodes_[1]->blocked(); ++round) {
+    request(1, 500 + round, id++);
+    sim_.run_until(sim_.now() + 25 * sim::kMillisecond);
+  }
+  ASSERT_TRUE(nodes_[1]->blocked());
+  auto answered = [this](std::uint64_t rid) {
+    return std::find(replies_.begin(), replies_.end(), rid) != replies_.end();
+  };
+
+  // A helper thread still reads node 0's cache update for file 950.
+  request(0, 950, id++);
+  sim_.run_until(sim_.now() + 500 * sim::kMillisecond);
+  EXPECT_TRUE(nodes_[1]->blocked());
+  EXPECT_TRUE(nodes_[1]->directory().node_caches_file(0, 950));
+
+  // A client request waits for the coordinating thread.
+  const std::uint64_t parked = id++;
+  request(1, 950, parked);
+  sim_.run_until(sim_.now() + sim::kSecond);
+  EXPECT_TRUE(nodes_[1]->blocked());
+  EXPECT_FALSE(answered(parked));
+
+  // Once the disk is back the thread unblocks and serves it.
+  disks_[2]->repair();
+  sim_.run_until(sim_.now() + 4 * sim::kSecond);
+  EXPECT_FALSE(nodes_[1]->blocked());
+  EXPECT_TRUE(answered(parked));
+}
+
+TEST_F(MiniCluster, HungProcessParksHelperPortsUntilUnhung) {
+  boot();
+  nodes_[2]->hang_process();
+  request(0, 960, 1);  // node 0 reads 960 and broadcasts it
+  sim_.run_until(sim_.now() + sim::kSecond);
+  ASSERT_TRUE(nodes_[0]->cache().contains(960));
+  // Every thread of a hung process is stuck: the update waits.
+  EXPECT_FALSE(nodes_[2]->directory().node_caches_file(0, 960));
+  nodes_[2]->unhang_process();
+  EXPECT_TRUE(nodes_[2]->directory().node_caches_file(0, 960));
 }
 
 TEST_F(MiniCluster, StaleRequestsAreShed) {

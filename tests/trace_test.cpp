@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <memory>
 
+#include "availsim/workload/client.hpp"
 #include "availsim/workload/trace.hpp"
 #include "availsim/workload/zipf.hpp"
 
@@ -86,8 +87,7 @@ class TraceClientFixture : public ::testing::Test {
 
 TEST_F(TraceClientFixture, ReplaysEntriesInOrderAtRecordedTimes) {
   Trace t({{sim::kSecond, 5}, {2 * sim::kSecond, 7}, {3 * sim::kSecond, 9}});
-  TraceClient client(sim_, net_, *client_host_, t, TraceClient::Params{},
-                     *recorder_);
+  Client client(sim_, net_, *client_host_, t, Client::Replay{}, *recorder_);
   client.set_destinations({0}, net::ports::kPressHttp);
   client.start();
   sim_.run_until(3500 * sim::kMillisecond);
@@ -97,9 +97,9 @@ TEST_F(TraceClientFixture, ReplaysEntriesInOrderAtRecordedTimes) {
 
 TEST_F(TraceClientFixture, LoopsWhenConfigured) {
   Trace t({{sim::kSecond, 1}, {2 * sim::kSecond, 2}});
-  TraceClient::Params p;
+  Client::Replay p;
   p.loop = true;
-  TraceClient client(sim_, net_, *client_host_, t, p, *recorder_);
+  Client client(sim_, net_, *client_host_, t, p, *recorder_);
   client.set_destinations({0}, net::ports::kPressHttp);
   client.start();
   sim_.run_until(7 * sim::kSecond);
@@ -108,9 +108,9 @@ TEST_F(TraceClientFixture, LoopsWhenConfigured) {
 
 TEST_F(TraceClientFixture, StopsAtEndWithoutLoop) {
   Trace t({{sim::kSecond, 1}, {2 * sim::kSecond, 2}});
-  TraceClient::Params p;
+  Client::Replay p;
   p.loop = false;
-  TraceClient client(sim_, net_, *client_host_, t, p, *recorder_);
+  Client client(sim_, net_, *client_host_, t, p, *recorder_);
   client.set_destinations({0}, net::ports::kPressHttp);
   client.start();
   sim_.run_until(10 * sim::kSecond);
@@ -119,10 +119,10 @@ TEST_F(TraceClientFixture, StopsAtEndWithoutLoop) {
 
 TEST_F(TraceClientFixture, SpeedupCompressesReplay) {
   Trace t({{2 * sim::kSecond, 1}, {4 * sim::kSecond, 2}});
-  TraceClient::Params p;
+  Client::Replay p;
   p.speedup = 2.0;
   p.loop = false;
-  TraceClient client(sim_, net_, *client_host_, t, p, *recorder_);
+  Client client(sim_, net_, *client_host_, t, p, *recorder_);
   client.set_destinations({0}, net::ports::kPressHttp);
   client.start();
   sim_.run_until(2100 * sim::kMillisecond);
@@ -132,9 +132,9 @@ TEST_F(TraceClientFixture, SpeedupCompressesReplay) {
 TEST_F(TraceClientFixture, FailuresRecordedOnDeadServer) {
   server_->crash();
   Trace t({{sim::kSecond, 1}});
-  TraceClient::Params p;
+  Client::Replay p;
   p.loop = false;
-  TraceClient client(sim_, net_, *client_host_, t, p, *recorder_);
+  Client client(sim_, net_, *client_host_, t, p, *recorder_);
   client.set_destinations({0}, net::ports::kPressHttp);
   client.start();
   sim_.run_until(10 * sim::kSecond);

@@ -191,6 +191,19 @@ TEST_F(ClientFixture, PoissonRateIsApproximatelyHonored) {
   EXPECT_GT(recorder_.total_success(), 0u);
 }
 
+TEST_F(ClientFixture, RestartRightAfterStopKeepsOneArrivalStream) {
+  // stop() must drop the arrival already scheduled: otherwise a start()
+  // before it fires runs two streams and offers twice the rate.
+  serve_all();
+  client_->start();
+  sim_.run_until(sim::kSecond);
+  client_->stop();
+  client_->start();
+  sim_.run_until(61 * sim::kSecond);
+  const double rate = recorder_.total_offered() / 61.0;
+  EXPECT_NEAR(rate, 50.0, 5.0);
+}
+
 TEST_F(ClientFixture, DeadProcessYieldsRefusedFailures) {
   // No handler bound: connection refused, fast-fail.
   client_->start();

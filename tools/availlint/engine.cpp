@@ -569,6 +569,16 @@ void Engine::check_hot_alloc() {
       work.push_back(idx);
     }
   };
+  // A root that names no function drops its whole call tree from the
+  // check, so it is a finding. Only a run that lints every hot domain can
+  // tell: a single fixture file resolves almost nothing.
+  const bool whole_domain = std::all_of(
+      domains.begin(), domains.end(), [&](const std::string& d) {
+        return std::any_of(files_.begin(), files_.end(),
+                           [&](const FileEntry& f) {
+                             return path_has_prefix(f.path, d);
+                           });
+      });
   for (const std::string& root : cfg_.hot_paths) {
     auto qit = by_qual.find(root);
     if (qit != by_qual.end()) {
@@ -578,6 +588,11 @@ void Engine::check_hot_alloc() {
     auto bit = by_bare.find(root);
     if (bit != by_bare.end()) {
       for (std::size_t idx : bit->second) mark(idx);
+    } else if (whole_domain) {
+      diag("availlint.rules", 0, "hot-roster",
+           "hot-path '" + root +
+               "' names no function in the hot domains; its call tree "
+               "goes unchecked (renamed or deleted?)");
     }
   }
 

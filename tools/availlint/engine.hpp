@@ -25,6 +25,9 @@
 //                       function reachable from the hot-path roster,
 //                       unless the line carries
 //                       "availlint: hot-ok(<reason>)"
+//   hot-roster          hot-path roster entry that names no function
+//                       (checked when the linted files reach every
+//                       hot domain)
 //   layer-dep           #include edge not in the declared layer table
 //   layer-cycle         cycle in the declared header-layer graph or in
 //                       the actual file-level include graph
