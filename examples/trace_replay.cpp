@@ -25,16 +25,20 @@ int main(int argc, char** argv) {
                 path.c_str(), trace->size(), trace->rate(),
                 sim::to_seconds(trace->duration()));
   } else {
+    // Replay the file just written, not the in-memory trace: the file
+    // holds microseconds, so this run and every later reload replay the
+    // same arrival times.
     workload::HotColdSampler pop(26000, 8000, 0.8);
-    trace = workload::Trace::synthesize(pop, sim::Rng(2026), 500.0,
-                                        120 * sim::kSecond);
-    if (trace->save(path)) {
-      std::printf("Synthesized and saved trace %s: %zu requests\n",
-                  path.c_str(), trace->size());
-    } else {
-      std::printf("Synthesized trace (%zu requests; could not save to %s)\n",
-                  trace->size(), path.c_str());
+    const workload::Trace synthesized = workload::Trace::synthesize(
+        pop, sim::Rng(2026), 500.0, 120 * sim::kSecond);
+    if (synthesized.save(path)) trace = workload::Trace::load(path);
+    if (!trace) {
+      std::printf("Could not save the synthesized trace to %s\n",
+                  path.c_str());
+      return 1;
     }
+    std::printf("Synthesized and saved trace %s: %zu requests\n",
+                path.c_str(), trace->size());
   }
 
   // 2. Replay it against a COOP cluster (the built-in Poisson clients are

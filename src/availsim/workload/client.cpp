@@ -98,6 +98,7 @@ void Client::send_request(FileId file) {
               self_.id(), static_cast<std::int64_t>(id));
 
   Pending& pending = pending_.emplace_back();
+  pending.sent = sim_.now();
   pending.dst = dst;
   pending.open = true;
   ++outstanding_;
@@ -111,36 +112,64 @@ void Client::send_request(FileId file) {
             net::make_body<HttpRequest>(HttpRequest{file, self_.id(), id}),
             std::move(options));
 
-  // 2 s connect timeout: if the destination is unreachable or dead when the
-  // SYN would be answered, the connection attempt is abandoned.
-  pending.connect_check = sim_.schedule_after(params_.connect_timeout, [this,
-                                                                        id] {
-    Pending* p = find_open(id);
-    if (p == nullptr) return;
-    p->connect_check = sim::kInvalidEvent;
-    const bool reachable = net_.path_up(self_.id(), p->dst) &&
-                           net_.host(p->dst).state() == net::Host::State::kUp;
-    if (!reachable) fail(id, FailureReason::kConnectTimeout);
-  });
-
-  pending.completion_timeout =
-      sim_.schedule_after(params_.completion_timeout,
-                          [this, id] { fail(id, FailureReason::kCompletionTimeout); });
+  // An unarmed walk has nothing open left to time: this request is its
+  // next target.
+  assert(connect_armed_ || connect_next_ == id);
+  if (!connect_armed_) arm_connect_deadline();
+  if (!completion_armed_) arm_completion_deadline();
 }
 
 Client::Pending* Client::find_open(std::uint64_t request_id) {
-  const std::uint64_t base = next_request_id_ - pending_.size();
-  if (request_id < base || request_id >= next_request_id_) return nullptr;
-  Pending& p = pending_[static_cast<std::size_t>(request_id - base)];
+  if (request_id < front_id() || request_id >= next_request_id_) return nullptr;
+  Pending& p = pending_[static_cast<std::size_t>(request_id - front_id())];
   return p.open ? &p : nullptr;
 }
 
 void Client::close(Pending& pending) {
-  sim_.cancel(pending.connect_check);
-  sim_.cancel(pending.completion_timeout);
   pending.open = false;
   --outstanding_;
   while (!pending_.empty() && !pending_.front().open) pending_.pop_front();
+}
+
+// 2 s connect timeout: if the destination is unreachable or dead when the
+// SYN would be answered, the connection attempt is abandoned.
+void Client::on_connect_deadline() {
+  connect_armed_ = false;
+  connect_next_ = std::max(connect_next_, front_id());
+  for (; connect_next_ < next_request_id_; ++connect_next_) {
+    const Pending* p = find_open(connect_next_);
+    if (p == nullptr) continue;  // closed: nothing to check
+    if (p->sent + params_.connect_timeout > sim_.now()) break;
+    const bool reachable = net_.path_up(self_.id(), p->dst) &&
+                           net_.host(p->dst).state() == net::Host::State::kUp;
+    if (!reachable) fail(connect_next_, FailureReason::kConnectTimeout);
+  }
+  arm_connect_deadline();
+}
+
+// 6 s completion timeout. The ring's front is the oldest open request.
+void Client::on_completion_deadline() {
+  completion_armed_ = false;
+  while (!pending_.empty() &&
+         pending_.front().sent + params_.completion_timeout <= sim_.now()) {
+    fail(front_id(), FailureReason::kCompletionTimeout);
+  }
+  arm_completion_deadline();
+}
+
+void Client::arm_connect_deadline() {
+  const Pending* next = find_open(connect_next_);
+  if (next == nullptr) return;
+  connect_armed_ = true;
+  sim_.schedule_at(next->sent + params_.connect_timeout,
+                   [this] { on_connect_deadline(); });
+}
+
+void Client::arm_completion_deadline() {
+  if (pending_.empty()) return;
+  completion_armed_ = true;
+  sim_.schedule_at(pending_.front().sent + params_.completion_timeout,
+                   [this] { on_completion_deadline(); });
 }
 
 void Client::on_reply(const net::Packet& packet) {

@@ -69,8 +69,7 @@ class Client {
 
  private:
   struct Pending {
-    sim::EventId connect_check = sim::kInvalidEvent;
-    sim::EventId completion_timeout = sim::kInvalidEvent;
+    sim::Time sent = 0;
     net::NodeId dst = net::kNoNode;
     bool open = false;  // false once replied to or failed
   };
@@ -80,11 +79,23 @@ class Client {
   void send_request(FileId file);
   void on_reply(const net::Packet& packet);
   void fail(std::uint64_t request_id, FailureReason reason);
+  /// Id of the ring's front entry (next_request_id_ when it is empty).
+  std::uint64_t front_id() const { return next_request_id_ - pending_.size(); }
   /// The open request `request_id`, or nullptr if it already completed.
   Pending* find_open(std::uint64_t request_id);
-  /// Closes an open request: cancels its timers and trims closed entries
-  /// off the front of the ring.
+  /// Closes an open request and trims closed entries off the front of the
+  /// ring. The deadline walks step over closed entries, so closing never
+  /// touches the event queue.
   void close(Pending& pending);
+  /// Deadline walks. The timeouts are fixed, so deadlines come in id
+  /// order, and each kind keeps at most one armed event aimed at its
+  /// earliest open deadline: the connect walk at the cursor, the completion
+  /// walk at the ring's front. A walk fails or checks every open request
+  /// now due, in id order, then re-arms for the next one.
+  void on_connect_deadline();
+  void on_completion_deadline();
+  void arm_connect_deadline();
+  void arm_completion_deadline();
 
   sim::Simulator& sim_;
   net::Network& net_;
@@ -111,6 +122,10 @@ class Client {
   // closed entries behind it wait for the ids before them to close.
   std::deque<Pending> pending_;
   std::size_t outstanding_ = 0;  // open entries in pending_
+  // Requests below this id are connect-checked or closed.
+  std::uint64_t connect_next_ = 0;
+  bool connect_armed_ = false;
+  bool completion_armed_ = false;
 };
 
 }  // namespace availsim::workload

@@ -1,7 +1,9 @@
 #include "availsim/workload/trace.hpp"
 
 #include <cassert>
+#include <filesystem>
 #include <fstream>
+#include <system_error>
 #include <utility>
 
 namespace availsim::workload {
@@ -24,6 +26,9 @@ Trace Trace::synthesize(const Popularity& popularity, sim::Rng rng,
 }
 
 bool Trace::save(const std::string& path) const {
+  const std::filesystem::path dir = std::filesystem::path(path).parent_path();
+  std::error_code ec;  // a failure shows up as the open failing below
+  if (!dir.empty()) std::filesystem::create_directories(dir, ec);
   std::ofstream out(path);
   if (!out) return false;
   for (const auto& e : entries_) {

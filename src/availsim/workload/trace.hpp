@@ -30,7 +30,8 @@ class Trace {
   static Trace synthesize(const Popularity& popularity, sim::Rng rng,
                           double rate_rps, sim::Time duration);
 
-  /// Text format: one "<microseconds> <file-id>" pair per line.
+  /// Text format: one "<microseconds> <file-id>" pair per line. Creates
+  /// missing parent directories.
   bool save(const std::string& path) const;
   static std::optional<Trace> load(const std::string& path);
 

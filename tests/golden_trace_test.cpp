@@ -9,10 +9,13 @@
 //
 // The golden mask excludes the per-request firehose (workload, qmon, net)
 // and the harness markers, so the files stay small and identical whether
-// or not AVAILSIM_AUDIT=1 adds its periodic audit ticks.
+// or not AVAILSIM_AUDIT=1 adds its periodic audit ticks. The request
+// outcomes are pinned instead by one summary line at the end of each file:
+// totals by reason and an FNV-1a hash of the per-second recorder bins.
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -24,6 +27,7 @@
 #include "availsim/sim/rng.hpp"
 #include "availsim/sim/simulator.hpp"
 #include "availsim/trace/trace.hpp"
+#include "availsim/workload/recorder.hpp"
 
 #ifndef AVAILSIM_GOLDEN_DIR
 #error "golden_trace_test needs AVAILSIM_GOLDEN_DIR (set in tests/CMakeLists.txt)"
@@ -54,6 +58,33 @@ harness::TestbedOptions golden_options(std::uint64_t seed) {
   return opts;
 }
 
+// One line: offered, successes and failures by reason, then an FNV-1a hash
+// of the per-second offered, success and failed bins, in that order.
+std::string outcome_summary(const workload::Recorder& rec) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto add = [&h](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xFF;
+      h *= 1099511628211ull;
+    }
+  };
+  for (const auto* bins :
+       {&rec.offered_bins(), &rec.success_bins(), &rec.failed_bins()}) {
+    add(bins->size());
+    for (std::uint32_t n : *bins) add(n);
+  }
+  std::ostringstream out;
+  out << "outcomes offered=" << rec.total_offered()
+      << " success=" << rec.total_success() << " refused="
+      << rec.failures_by_reason(workload::FailureReason::kRefused)
+      << " connect_timeout="
+      << rec.failures_by_reason(workload::FailureReason::kConnectTimeout)
+      << " completion_timeout="
+      << rec.failures_by_reason(workload::FailureReason::kCompletionTimeout)
+      << " bins_fnv1a=" << std::hex << h << "\n";
+  return out.str();
+}
+
 std::string run_scripted(const harness::TestbedOptions& opts,
                          fault::FaultType type, int component,
                          sim::Time duration) {
@@ -67,6 +98,7 @@ std::string run_scripted(const harness::TestbedOptions& opts,
   sim.run_until(opts.warmup + 360 * sim::kSecond);
   std::ostringstream out;
   tb.tracer()->export_text(out);
+  out << outcome_summary(tb.recorder());
   return out.str();
 }
 

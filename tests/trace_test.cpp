@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 
 #include "availsim/workload/client.hpp"
@@ -44,6 +45,25 @@ TEST(Trace, SaveLoadRoundTrip) {
                 static_cast<double>(t.entries()[i].at), sim::kMicrosecond);
     EXPECT_EQ(loaded->entries()[i].file, t.entries()[i].file);
   }
+}
+
+TEST(Trace, SaveCreatesMissingParentDirectories) {
+  const std::filesystem::path root =
+      std::filesystem::temp_directory_path() / "availsim_trace_nested_test";
+  std::filesystem::remove_all(root);
+  const std::string path = (root / "a" / "b" / "sample.trace").string();
+  // Whole microseconds, so the reload is exact.
+  Trace t({{sim::kMicrosecond, 3}, {2500 * sim::kMicrosecond, 8},
+           {sim::kSecond, 3}});
+  ASSERT_TRUE(t.save(path));
+  auto loaded = Trace::load(path);
+  ASSERT_TRUE(loaded.has_value());
+  ASSERT_EQ(loaded->size(), t.size());
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    EXPECT_EQ(loaded->entries()[i].at, t.entries()[i].at);
+    EXPECT_EQ(loaded->entries()[i].file, t.entries()[i].file);
+  }
+  std::filesystem::remove_all(root);
 }
 
 TEST(Trace, LoadRejectsCorruptFiles) {

@@ -1,10 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <vector>
 
 #include "availsim/net/network.hpp"
+#include "availsim/trace/trace.hpp"
 #include "availsim/workload/client.hpp"
 #include "availsim/workload/recorder.hpp"
 #include "availsim/workload/zipf.hpp"
@@ -300,6 +302,95 @@ TEST_F(ClientFixture, LateReplyAfterCompletionTimeoutIsIgnored) {
   EXPECT_EQ(recorder_.total_success(), 0u);
   EXPECT_EQ(recorder_.total_failed(), n);
   EXPECT_EQ(client_->outstanding(), fresh);
+}
+
+/// Send time of every request and the time and reason of every failure,
+/// read back from the workload trace.
+struct Lifecycle {
+  std::vector<sim::Time> sent;  // by request id
+  std::vector<std::uint64_t> failed_ids;  // in emission order
+  std::vector<sim::Time> failed_at;
+  std::vector<std::int64_t> reasons;
+};
+
+Lifecycle read_lifecycle(const trace::Tracer& tracer) {
+  Lifecycle l;
+  for (const trace::TraceRecord& r : tracer.snapshot()) {
+    if (r.kind == trace::Kind::kReqSend) {
+      EXPECT_EQ(static_cast<std::size_t>(r.a), l.sent.size());
+      l.sent.push_back(r.at);
+    } else if (r.kind == trace::Kind::kReqFail) {
+      l.failed_ids.push_back(static_cast<std::uint64_t>(r.a));
+      l.failed_at.push_back(r.at);
+      l.reasons.push_back(r.b);
+    }
+  }
+  return l;
+}
+
+TEST_F(ClientFixture, CompletionTimeoutsFireSixSecondsAfterSendInIdOrder) {
+  trace::Tracer tracer(trace::TracerOptions{
+      static_cast<std::uint32_t>(trace::Category::kWorkload), 1u << 12});
+  sim_.set_tracer(&tracer);
+  // Odd ids are answered at once, so the walk steps over closed entries;
+  // even ids are never answered.
+  server_.bind(net::ports::kPressHttp, [this](const net::Packet& p) {
+    const std::uint64_t id = net::body_as<HttpRequest>(p).request_id;
+    if (id % 2 == 1) reply(id);
+  });
+  send_for(3.0);
+  sim_.run_until(sim_.now() + 7 * sim::kSecond);
+  const Lifecycle l = read_lifecycle(tracer);
+  ASSERT_GT(l.sent.size(), 50u);
+  ASSERT_EQ(l.failed_ids.size(), (l.sent.size() + 1) / 2);
+  for (std::size_t i = 0; i < l.failed_ids.size(); ++i) {
+    const std::uint64_t id = l.failed_ids[i];
+    EXPECT_EQ(id, 2 * i);
+    EXPECT_EQ(l.failed_at[i], l.sent[id] + 6 * sim::kSecond) << "id " << id;
+    EXPECT_EQ(l.reasons[i],
+              static_cast<std::int64_t>(FailureReason::kCompletionTimeout));
+  }
+  EXPECT_EQ(recorder_.total_success(), l.sent.size() / 2);
+  EXPECT_EQ(client_->outstanding(), 0u);
+  sim_.set_tracer(nullptr);
+}
+
+TEST_F(ClientFixture, ConnectTimeoutsFireTwoSecondsAfterSendInIdOrder) {
+  trace::Tracer tracer(trace::TracerOptions{
+      static_cast<std::uint32_t>(trace::Category::kWorkload), 1u << 12});
+  sim_.set_tracer(&tracer);
+  serve_all();
+  net_.set_link_up(0, false);
+  send_for(3.0);
+  sim_.run_until(sim_.now() + 7 * sim::kSecond);
+  const Lifecycle l = read_lifecycle(tracer);
+  ASSERT_GT(l.sent.size(), 50u);
+  ASSERT_EQ(l.failed_ids.size(), l.sent.size());
+  for (std::size_t i = 0; i < l.failed_ids.size(); ++i) {
+    EXPECT_EQ(l.failed_ids[i], i);
+    EXPECT_EQ(l.failed_at[i], l.sent[i] + 2 * sim::kSecond) << "id " << i;
+    EXPECT_EQ(l.reasons[i],
+              static_cast<std::int64_t>(FailureReason::kConnectTimeout));
+  }
+  EXPECT_EQ(client_->outstanding(), 0u);
+  sim_.set_tracer(nullptr);
+}
+
+TEST_F(ClientFixture, OpenRequestsHoldNoEventsOfTheirOwn) {
+  // The client keeps one arrival and at most one deadline event per
+  // timeout kind, however many requests are open. Sampled on receipt;
+  // requests sent but not yet received each hold their delivery event.
+  std::size_t max_own = 0;
+  server_.bind(net::ports::kPressHttp, [this, &max_own](const net::Packet& p) {
+    held_.push_back(net::body_as<HttpRequest>(p).request_id);
+    const std::size_t in_flight = client_->requests_sent() - held_.size();
+    max_own = std::max(max_own, sim_.pending() - in_flight);
+  });
+  send_for(4.0);
+  ASSERT_GT(held_.size(), 150u);
+  EXPECT_EQ(client_->outstanding(), held_.size());
+  EXPECT_LE(max_own, 3u);
+  EXPECT_LE(sim_.pending(), 3u);
 }
 
 TEST_F(ClientFixture, RecoveryAfterRepairResumesSuccesses) {
