@@ -2,80 +2,92 @@
 
 #include <algorithm>
 #include <cassert>
+#include <limits>
+#include <stdexcept>
 
 namespace availsim::press {
 
 namespace {
-std::uint32_t slot_of(workload::FileId file) {
-  return static_cast<std::uint32_t>(file) + 1;
-}
-workload::FileId file_of(std::uint32_t slot) {
-  return static_cast<workload::FileId>(slot - 1);
-}
+std::size_t idx(workload::FileId file) { return static_cast<std::size_t>(file); }
 }  // namespace
 
 LruCache::LruCache(std::size_t capacity_bytes, std::size_t file_bytes)
-    : capacity_files_(std::max<std::size_t>(1, capacity_bytes / file_bytes)) {}
+    : capacity_files_(std::max<std::size_t>(1, capacity_bytes / file_bytes)) {
+  if (capacity_files_ > std::numeric_limits<Slot>::max()) {
+    throw std::length_error("LruCache: capacity over 65,535 files");
+  }
+  entries_.reserve(capacity_files_ + 1);
+  entries_.push_back(Entry{0, 0, -1});
+}
+
+LruCache::Slot LruCache::slot_of(workload::FileId file) const {
+  return file >= 0 && idx(file) < slot_of_.size() ? slot_of_[idx(file)] : 0;
+}
 
 bool LruCache::contains(workload::FileId file) const {
-  const std::uint32_t s = slot_of(file);
-  return s < prev_.size() && prev_[s] != kAbsent;
+  return slot_of(file) != 0;
 }
 
-void LruCache::grow_to(workload::FileId file) {
-  assert(file >= 0);
-  const std::size_t need = std::size_t{slot_of(file)} + 1;
-  if (need <= prev_.size()) return;
-  prev_.resize(need, kAbsent);
-  next_.resize(need, kAbsent);
+void LruCache::unlink(Slot slot) {
+  const Entry& e = entries_[slot];
+  entries_[e.prev].next = e.next;
+  entries_[e.next].prev = e.prev;
 }
 
-void LruCache::unlink(std::uint32_t slot) {
-  next_[prev_[slot]] = next_[slot];
-  prev_[next_[slot]] = prev_[slot];
-}
-
-void LruCache::link_after(std::uint32_t slot, std::uint32_t at) {
-  prev_[slot] = at;
-  next_[slot] = next_[at];
-  prev_[next_[at]] = slot;
-  next_[at] = slot;
+void LruCache::link_mru(Slot slot) {
+  Entry& e = entries_[slot];
+  e.prev = 0;
+  e.next = entries_[0].next;
+  entries_[e.next].prev = slot;
+  entries_[0].next = slot;
 }
 
 bool LruCache::touch(workload::FileId file) {
-  if (!contains(file)) return false;
-  unlink(slot_of(file));
-  link_after(slot_of(file), 0);
+  const Slot s = slot_of(file);
+  if (s == 0) return false;
+  unlink(s);
+  link_mru(s);
   return true;
 }
 
-std::vector<workload::FileId> LruCache::insert(workload::FileId file) {
-  std::vector<workload::FileId> evicted;
-  if (touch(file)) return evicted;
-  grow_to(file);
-  link_after(slot_of(file), 0);
-  ++size_;
-  while (size_ > capacity_files_) {
-    const std::uint32_t lru = prev_[0];
-    unlink(lru);
-    prev_[lru] = kAbsent;
-    --size_;
-    evicted.push_back(file_of(lru));
+std::optional<workload::FileId> LruCache::insert(workload::FileId file) {
+  if (touch(file)) return std::nullopt;
+  assert(file >= 0);
+  if (idx(file) >= slot_of_.size()) slot_of_.resize(idx(file) + 1, 0);
+  std::optional<workload::FileId> evicted;
+  Slot s;
+  if (size() < capacity_files_) {
+    s = static_cast<Slot>(entries_.size());
+    entries_.push_back(Entry{0, 0, file});
+  } else {
+    // Full: the LRU file leaves and the new one takes its slot at the MRU
+    // end. Linking first and evicting after would drop the same file and
+    // leave the same order, because a capacity of at least one keeps the
+    // new file off the LRU end.
+    s = entries_[0].prev;
+    unlink(s);
+    evicted = entries_[s].file;
+    slot_of_[idx(*evicted)] = 0;
+    entries_[s].file = file;
   }
+  slot_of_[idx(file)] = s;
+  link_mru(s);
   return evicted;
 }
 
 void LruCache::clear() {
-  for (std::uint32_t s = next_[0]; s != 0; s = next_[s]) prev_[s] = kAbsent;
-  prev_[0] = next_[0] = 0;
-  size_ = 0;
+  for (std::size_t s = 1; s < entries_.size(); ++s) {
+    slot_of_[idx(entries_[s].file)] = 0;
+  }
+  entries_.resize(1);
+  entries_[0].prev = entries_[0].next = 0;
 }
 
 std::vector<workload::FileId> LruCache::resident() const {
   std::vector<workload::FileId> out;
-  out.reserve(size_);
-  for (std::uint32_t s = next_[0]; s != 0; s = next_[s]) {
-    out.push_back(file_of(s));
+  out.reserve(size());
+  for (Slot s = entries_[0].next; s != 0; s = entries_[s].next) {
+    out.push_back(entries_[s].file);
   }
   return out;
 }

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "availsim/workload/fileset.hpp"
@@ -10,12 +11,13 @@ namespace availsim::press {
 /// In-memory LRU file cache of one PRESS node. All files are the same size
 /// (uniform-27KB workload), so capacity is expressed in whole files.
 ///
-/// File ids are dense (0..FileSet::count-1), so the recency list is
-/// threaded through prev/next arrays indexed by FileId rather than kept as
-/// a node-per-file list plus a hash index: touch and insert are a few
-/// array writes. The arrays grow to the largest FileId seen.
+/// The recency list is threaded through cache slots, one per resident
+/// file, with 16-bit links; a FileId-indexed slot table finds a file's
+/// slot. Touch and insert are a few array writes, and the state is sized
+/// by what the node holds, not by the catalogue.
 class LruCache {
  public:
+  /// Throws std::length_error when the capacity exceeds 65,535 files.
   LruCache(std::size_t capacity_bytes, std::size_t file_bytes);
 
   bool contains(workload::FileId file) const;
@@ -23,34 +25,42 @@ class LruCache {
   /// Marks `file` most-recently-used; returns whether it was present.
   bool touch(workload::FileId file);
 
-  /// Inserts `file` (MRU). Returns the files evicted to make room (each
-  /// eviction must be broadcast to keep peer directories coherent).
+  /// Inserts `file` (MRU). Returns the file evicted to make room, if any
+  /// (each eviction must be broadcast to keep peer directories coherent).
   /// Inserting a resident file just touches it.
-  std::vector<workload::FileId> insert(workload::FileId file);
+  std::optional<workload::FileId> insert(workload::FileId file);
 
   void clear();
 
-  std::size_t size() const { return size_; }
+  std::size_t size() const { return entries_.size() - 1; }
   std::size_t capacity() const { return capacity_files_; }
 
   /// Snapshot of resident files, MRU first (sent to a rejoining peer).
   std::vector<workload::FileId> resident() const;
 
  private:
-  // prev_ value of a slot whose file is not resident.
-  static constexpr std::uint32_t kAbsent = ~std::uint32_t{0};
+  using Slot = std::uint16_t;
 
-  /// Extends the arrays so `file` has a slot.
-  void grow_to(workload::FileId file);
-  void unlink(std::uint32_t slot);
-  void link_after(std::uint32_t slot, std::uint32_t at);
+  // One cache slot: its file and its links in the circular recency list.
+  struct Entry {
+    Slot prev;
+    Slot next;
+    workload::FileId file;
+  };
+
+  /// `file`'s slot, or 0 when it is not resident (any id out of range).
+  Slot slot_of(workload::FileId file) const;
+  void unlink(Slot slot);
+  void link_mru(Slot slot);
 
   std::size_t capacity_files_;
-  // Circular recency list over slots: slot 0 is the sentinel (next_[0] is
-  // the MRU file, prev_[0] the LRU one) and file f lives in slot f + 1.
-  std::vector<std::uint32_t> prev_{0};
-  std::vector<std::uint32_t> next_{0};
-  std::size_t size_ = 0;
+  // Slot 0 is the sentinel (its next is the MRU slot, its prev the LRU
+  // one) and resident files fill slots 1..size(): a file only leaves on
+  // eviction, which hands its slot to the incoming file, or on clear().
+  // Reserved to capacity + 1 at construction.
+  std::vector<Entry> entries_;
+  // FileId -> slot, 0 = not resident; grows to the largest FileId seen.
+  std::vector<Slot> slot_of_;
 };
 
 }  // namespace availsim::press

@@ -8,17 +8,32 @@ namespace {
 std::size_t idx(int id) { return static_cast<std::size_t>(id); }
 }  // namespace
 
-std::uint32_t Directory::first(workload::FileId file) const {
-  return idx(file) < head_.size() ? head_[idx(file)] : kNone;
+const Directory::Entry* Directory::first(workload::FileId file) const {
+  if (idx(file) >= head_.size() || head_[idx(file)].node == net::kNoNode) {
+    return nullptr;
+  }
+  return &head_[idx(file)];
+}
+
+const Directory::Entry* Directory::after(const Entry& e) const {
+  return e.next == kNone ? nullptr : &entries_[e.next];
 }
 
 void Directory::node_caches(net::NodeId node, workload::FileId file) {
-  assert(file >= 0);
-  if (idx(file) >= head_.size()) head_.resize(idx(file) + 1, kNone);
+  assert(node >= 0 && file >= 0);
+  if (idx(file) >= head_.size()) {
+    head_.resize(idx(file) + 1, Entry{net::kNoNode, kNone});
+  }
+  Entry& head = head_[idx(file)];
+  if (head.node == net::kNoNode) {
+    head.node = node;
+    return;
+  }
+  if (head.node == node) return;
   // Walk to the tail: a node already listed keeps its place, a new one
   // goes last.
   std::uint32_t tail = kNone;
-  for (std::uint32_t e = head_[idx(file)]; e != kNone; e = entries_[e].next) {
+  for (std::uint32_t e = head.next; e != kNone; e = entries_[e].next) {
     if (entries_[e].node == node) return;
     tail = e;
   }
@@ -30,20 +45,29 @@ void Directory::node_caches(net::NodeId node, workload::FileId file) {
     free_ = entries_[e].next;
     entries_[e] = Entry{node, kNone};
   }
-  (tail == kNone ? head_[idx(file)] : entries_[tail].next) = e;
+  (tail == kNone ? head.next : entries_[tail].next) = e;
 }
 
-void Directory::unlink(std::uint32_t& head, net::NodeId node) {
-  for (std::uint32_t* link = &head; *link != kNone;
-       link = &entries_[*link].next) {
-    Entry& entry = entries_[*link];
-    if (entry.node != node) continue;
-    const std::uint32_t freed = *link;
-    *link = entry.next;
-    entry.next = free_;
-    free_ = freed;
-    return;
+void Directory::unlink(Entry& head, net::NodeId node) {
+  std::uint32_t freed;
+  if (head.node == node) {
+    freed = head.next;
+    if (freed == kNone) {
+      head.node = net::kNoNode;
+      return;
+    }
+    head = entries_[freed];  // the second replica moves inline
+  } else {
+    std::uint32_t* link = &head.next;
+    while (*link != kNone && entries_[*link].node != node) {
+      link = &entries_[*link].next;
+    }
+    if (*link == kNone) return;
+    freed = *link;
+    *link = entries_[freed].next;
   }
+  entries_[freed].next = free_;
+  free_ = freed;
 }
 
 void Directory::node_evicts(net::NodeId node, workload::FileId file) {
@@ -64,7 +88,7 @@ int Directory::load(net::NodeId node) const {
 void Directory::remove_node(net::NodeId node) {
   assert(node >= 0);
   if (idx(node) < loads_.size()) loads_[idx(node)] = 0;
-  for (std::uint32_t& head : head_) unlink(head, node);
+  for (Entry& head : head_) unlink(head, node);
 }
 
 void Directory::install_snapshot(net::NodeId node,
@@ -76,8 +100,8 @@ std::optional<net::NodeId> Directory::best_service_node(
     workload::FileId file, const sim::FlatSet<net::NodeId>& coop) const {
   std::optional<net::NodeId> best;
   int best_load = 0;
-  for (std::uint32_t e = first(file); e != kNone; e = entries_[e].next) {
-    const net::NodeId n = entries_[e].node;
+  for (const Entry* e = first(file); e != nullptr; e = after(*e)) {
+    const net::NodeId n = e->node;
     if (!coop.contains(n)) continue;
     const int l = load(n);
     if (!best || l < best_load) {
@@ -90,17 +114,18 @@ std::optional<net::NodeId> Directory::best_service_node(
 
 bool Directory::node_caches_file(net::NodeId node,
                                  workload::FileId file) const {
-  for (std::uint32_t e = first(file); e != kNone; e = entries_[e].next) {
-    if (entries_[e].node == node) return true;
+  for (const Entry* e = first(file); e != nullptr; e = after(*e)) {
+    if (e->node == node) return true;
   }
   return false;
 }
 
 std::size_t Directory::files_known_for(net::NodeId node) const {
   std::size_t n = 0;
-  for (std::uint32_t head : head_) {
-    for (std::uint32_t e = head; e != kNone; e = entries_[e].next) {
-      if (entries_[e].node == node) ++n;
+  for (std::size_t f = 0; f < head_.size(); ++f) {
+    for (const Entry* e = first(static_cast<workload::FileId>(f)); e != nullptr;
+         e = after(*e)) {
+      if (e->node == node) ++n;
     }
   }
   return n;

@@ -46,19 +46,23 @@ class Directory {
     std::uint32_t next;
   };
 
-  /// The first entry of `file`'s list, or kNone when none is known.
-  std::uint32_t first(workload::FileId file) const;
-  /// Unlinks `node`'s entry from the list that starts at `head`, if it
-  /// has one, and frees it.
-  void unlink(std::uint32_t& head, net::NodeId node);
+  /// `file`'s first replica, or nullptr when none is known.
+  const Entry* first(workload::FileId file) const;
+  /// The replica after `e` in its file's list, or nullptr at the tail.
+  const Entry* after(const Entry& e) const;
+  /// Unlinks `node` from the list that starts at `head`, if it is listed,
+  /// and frees the pool entry that leaves the list.
+  void unlink(Entry& head, net::NodeId node);
 
-  // FileId -> first entry of the file's replica list in entries_, indexed
-  // directly by the dense file id and grown to the largest id seen; kNone
-  // means "no known replica". Lists stay tiny (few replicas per file) and
-  // keep insertion order, which breaks best_service_node's load ties.
-  std::vector<std::uint32_t> head_;
-  // The pool every list draws from; freed entries chain through `next`
-  // from free_, so steady insert/evict traffic allocates nothing.
+  // FileId -> the file's first replica, held inline (node net::kNoNode:
+  // none known); its `next` starts the rest of the list in entries_.
+  // Indexed directly by the dense file id and grown to the largest id
+  // seen. Lists stay tiny (few replicas per file) and keep insertion
+  // order, which breaks best_service_node's load ties.
+  std::vector<Entry> head_;
+  // The pool of every second and later replica; freed entries chain
+  // through `next` from free_, so steady insert/evict traffic allocates
+  // nothing.
   std::vector<Entry> entries_;
   std::uint32_t free_ = kNone;
   // NodeId -> last piggybacked load, grown to the largest id seen; a node

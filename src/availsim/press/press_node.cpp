@@ -362,27 +362,24 @@ void PressNode::reply_to_client(const workload::HttpRequest& request) {
 }
 
 void PressNode::insert_cache_and_broadcast(workload::FileId file) {
-  auto evicted = cache_.insert(file);
+  const std::optional<workload::FileId> evicted = cache_.insert(file);
   if (!p_.cooperative) return;
   // Bodies are immutable and load() cannot change during the broadcast, so
   // every peer's copy of a message shares one body.
   const auto inserted =
       net::make_body<CacheUpdate>(CacheUpdate{file, true, load()});
-  std::vector<std::shared_ptr<const void>> evictions;
-  evictions.reserve(evicted.size());
-  for (workload::FileId ev : evicted) {
-    evictions.push_back(
-        net::make_body<CacheUpdate>(CacheUpdate{ev, false, load()}));
-  }
+  const auto eviction =
+      evicted ? net::make_body<CacheUpdate>(CacheUpdate{*evicted, false, load()})
+              : nullptr;
   // Broadcast in node-id order (FlatSet iteration order): the send order
   // schedules delivery events, so it must be layout-independent.
   for (net::NodeId peer : coop_) {
     if (peer == id()) continue;
     cluster_.send(id(), peer, net::ports::kPressCacheUpdate,
                   wire::kCacheUpdate, inserted);
-    for (const auto& body : evictions) {
+    if (eviction) {
       cluster_.send(id(), peer, net::ports::kPressCacheUpdate,
-                    wire::kCacheUpdate, body);
+                    wire::kCacheUpdate, eviction);
     }
   }
 }

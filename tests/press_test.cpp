@@ -3,13 +3,16 @@
 #include <algorithm>
 #include <list>
 #include <map>
+#include <numeric>
 #include <optional>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
 #include "alloc_counter.hpp"
 #include "availsim/press/cache.hpp"
 #include "availsim/press/directory.hpp"
+#include "availsim/press/params.hpp"
 #include "availsim/qmon/qmon.hpp"
 #include "availsim/sim/flat.hpp"
 #include "availsim/sim/rng.hpp"
@@ -28,7 +31,7 @@ TEST(LruCache, CapacityInFiles) {
 
 TEST(LruCache, InsertAndContains) {
   LruCache c(4 * 100, 100);  // 4 files
-  EXPECT_TRUE(c.insert(1).empty());
+  EXPECT_EQ(c.insert(1), std::nullopt);
   EXPECT_TRUE(c.contains(1));
   EXPECT_FALSE(c.contains(2));
   EXPECT_EQ(c.size(), 1u);
@@ -40,9 +43,7 @@ TEST(LruCache, EvictsLeastRecentlyUsed) {
   c.insert(2);
   c.insert(3);
   c.touch(1);  // 2 is now LRU
-  auto evicted = c.insert(4);
-  ASSERT_EQ(evicted.size(), 1u);
-  EXPECT_EQ(evicted[0], 2);
+  EXPECT_EQ(c.insert(4), 2);
   EXPECT_TRUE(c.contains(1));
   EXPECT_TRUE(c.contains(4));
 }
@@ -51,10 +52,8 @@ TEST(LruCache, ReinsertTouchesInsteadOfDuplicating) {
   LruCache c(2 * 100, 100);
   c.insert(1);
   c.insert(2);
-  EXPECT_TRUE(c.insert(1).empty());  // touch, no eviction
-  auto evicted = c.insert(3);
-  ASSERT_EQ(evicted.size(), 1u);
-  EXPECT_EQ(evicted[0], 2);  // 1 was freshened
+  EXPECT_EQ(c.insert(1), std::nullopt);  // touch, no eviction
+  EXPECT_EQ(c.insert(3), 2);  // 1 was freshened
 }
 
 TEST(LruCache, TouchMissReturnsFalse) {
@@ -83,14 +82,36 @@ TEST(LruCache, MinimumCapacityOneFile) {
   LruCache c(10, 100);  // capacity smaller than one file
   EXPECT_EQ(c.capacity(), 1u);
   c.insert(1);
-  auto ev = c.insert(2);
-  ASSERT_EQ(ev.size(), 1u);
-  EXPECT_EQ(ev[0], 1);
+  EXPECT_EQ(c.insert(2), 1);
 }
 
-// Reference model: the std::list + hash-index LRU that the dense
-// prev/next arrays replaced. The dense cache must match it operation for
-// operation.
+// Ids no file has: -1 and one past the largest FileId seen. Neither is
+// ever resident, and touching one leaves the recency list intact.
+TEST(LruCache, OutOfRangeFileIdIsNeverResident) {
+  LruCache c(3 * 100, 100);
+  for (workload::FileId f : {-1, 7}) {
+    EXPECT_FALSE(c.contains(f)) << "empty cache, file " << f;
+    EXPECT_FALSE(c.touch(f)) << "empty cache, file " << f;
+  }
+  EXPECT_EQ(c.size(), 0u);
+  EXPECT_TRUE(c.resident().empty());
+  for (workload::FileId f : {1, 2, 3}) c.insert(f);
+  for (workload::FileId f : {-1, 4}) {
+    EXPECT_FALSE(c.contains(f)) << "full cache, file " << f;
+    EXPECT_FALSE(c.touch(f)) << "full cache, file " << f;
+  }
+  EXPECT_EQ(c.size(), 3u);
+  EXPECT_EQ(c.resident(), (std::vector<workload::FileId>{3, 2, 1}));
+}
+
+TEST(LruCache, CapacityPastSixteenBitSlotsThrows) {
+  EXPECT_THROW(LruCache(65536 * 100, 100), std::length_error);
+}
+
+// Reference model: the std::list + hash-index LRU that the slot-linked
+// cache replaced. The cache must match it operation for operation; it links
+// a new file first and evicts after, so it also checks that the cache's
+// evict-then-link keeps the same order.
 class ReferenceLru {
  public:
   explicit ReferenceLru(std::size_t capacity) : capacity_(capacity) {}
@@ -104,13 +125,13 @@ class ReferenceLru {
     return true;
   }
 
-  std::vector<workload::FileId> insert(workload::FileId f) {
-    std::vector<workload::FileId> evicted;
+  std::optional<workload::FileId> insert(workload::FileId f) {
+    std::optional<workload::FileId> evicted;
     if (touch(f)) return evicted;
     lru_.push_front(f);
     map_[f] = lru_.begin();
-    while (map_.size() > capacity_) {
-      evicted.push_back(lru_.back());
+    if (map_.size() > capacity_) {
+      evicted = lru_.back();
       map_.erase(lru_.back());
       lru_.pop_back();
     }
@@ -177,6 +198,27 @@ TEST_P(LruOracleTest, MatchesListAndHashReference) {
 INSTANTIATE_TEST_SUITE_P(Capacities, LruOracleTest,
                          ::testing::Values(std::size_t{1}, std::size_t{812},
                                            std::size_t{4854}));
+
+// The largest capacity 16-bit slots can number: every slot fills, then
+// each new file takes the slot of the oldest one.
+TEST(LruCache, SixteenBitSlotsHoldTheLargestCapacity) {
+  constexpr std::size_t kCap = 65535;
+  constexpr workload::FileId kInserts = 70000;
+  LruCache cache(kCap * 100, 100);
+  ASSERT_EQ(cache.capacity(), kCap);
+  ReferenceLru ref(kCap);
+  std::vector<workload::FileId> evicted;
+  for (workload::FileId f = 0; f < kInserts; ++f) {
+    const std::optional<workload::FileId> ev = cache.insert(f);
+    ASSERT_EQ(ev, ref.insert(f)) << "file " << f;
+    if (ev) evicted.push_back(*ev);
+  }
+  std::vector<workload::FileId> oldest(kInserts - kCap);  // 4,465
+  std::iota(oldest.begin(), oldest.end(), 0);
+  EXPECT_EQ(evicted, oldest);
+  EXPECT_EQ(cache.size(), kCap);
+  EXPECT_EQ(cache.resident(), ref.resident());
+}
 
 // ---------------------------------------------------------------------------
 // Directory
@@ -434,6 +476,34 @@ TEST(Directory, PrewarmedBuildAllocatesOnlyToGrowItsArrays) {
   EXPECT_EQ(d.files_known_for(kSelf), 0u);
   EXPECT_EQ(d.files_known_for(kSelf + 1),
             static_cast<std::size_t>(kFiles / kNodes + 1));
+}
+
+// One prewarmed node of a 32-node cluster: the directory above plus a full
+// default cache (128 MB of 27 KB files) that took FileIds 25,999 down to 0.
+// Sized by what the node holds, its state is about 290 KB: the
+// directory's FileId-indexed first replicas (8 B per file) and the cache's
+// 16-bit slot table (2 B per file) and slots (8 B per cached file). A
+// catalogue-sized layout (8 B of cache links per file, every replica in
+// a pool grown by doubling) takes about 565 KB, so the bound tells them
+// apart.
+TEST(PressFootprint, PrewarmedThirtyTwoNodeStateStaysUnder360KB) {
+  constexpr int kNodes = 32;
+  constexpr workload::FileId kFiles = 26000;
+  constexpr net::NodeId kSelf = 5;
+  const PressParams p;
+  const std::int64_t before = live_bytes();
+  Directory d;
+  for (workload::FileId f = kFiles - 1; f >= 0; --f) {
+    const net::NodeId owner = f % kNodes;
+    if (owner != kSelf) d.node_caches(owner, f);
+  }
+  LruCache cache(p.cache_bytes, p.file_bytes);
+  for (workload::FileId f = kFiles - 1; f >= 0; --f) cache.insert(f);
+  const std::int64_t live = live_bytes() - before;
+  ASSERT_EQ(cache.capacity(), 4854u);
+  ASSERT_EQ(cache.size(), 4854u);
+  RecordProperty("live_bytes", static_cast<int>(live));
+  EXPECT_LT(live, 360 * 1024);
 }
 
 }  // namespace

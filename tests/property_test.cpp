@@ -214,10 +214,10 @@ TEST(Property, LruCacheNeverExceedsCapacityUnderFuzz) {
     if (rng.bernoulli(0.5)) {
       if (!cache.touch(f)) {
         ++inserted;
-        evicted += cache.insert(f).size();
+        if (cache.insert(f)) ++evicted;
       }
     } else {
-      evicted += cache.insert(f).size();
+      if (cache.insert(f)) ++evicted;
       ++inserted;
     }
     ASSERT_LE(cache.size(), cache.capacity());
