@@ -17,6 +17,8 @@ namespace availsim::press {
 /// paper measures.
 class Directory {
  public:
+  /// Throws std::length_error when `node` exceeds 32,766, the largest
+  /// NodeId a record's inline replica field holds.
   void node_caches(net::NodeId node, workload::FileId file);
   void node_evicts(net::NodeId node, workload::FileId file);
   void set_load(net::NodeId node, int load);
@@ -38,31 +40,37 @@ class Directory {
   std::size_t files_known_for(net::NodeId node) const;
 
  private:
+  // A file's replicas, in announcement order. Tag bit clear: up to two
+  // replicas inline, each 15-bit field holding NodeId + 1 (0: none; the
+  // first field fills before the second). Tag bit set: three or more,
+  // listed in entries_ from the index in the low 31 bits.
+  using Record = std::uint32_t;
+  static constexpr Record kPooled = Record{1} << 31;
   static constexpr std::uint32_t kNone = UINT32_MAX;
 
-  // One known replica: a link in its file's singly linked list.
+  // One pooled replica: a link in its file's singly linked list.
   struct Entry {
     net::NodeId node;
     std::uint32_t next;
   };
 
-  /// `file`'s first replica, or nullptr when none is known.
-  const Entry* first(workload::FileId file) const;
-  /// The replica after `e` in its file's list, or nullptr at the tail.
-  const Entry* after(const Entry& e) const;
-  /// Unlinks `node` from the list that starts at `head`, if it is listed,
-  /// and frees the pool entry that leaves the list.
-  void unlink(Entry& head, net::NodeId node);
+  /// Calls `visit(node)` on each of `file`'s replicas in list order.
+  template <typename Visit>
+  void for_each_replica(workload::FileId file, Visit visit) const;
+  /// Takes a pool entry {node, next} (a freed one first); returns its index.
+  std::uint32_t link(net::NodeId node, std::uint32_t next);
+  void release(std::uint32_t e);
+  /// Drops `node` from `r`'s replicas, if it is listed; a pooled list left
+  /// with two replicas moves back inline.
+  void unlink(Record& r, net::NodeId node);
 
-  // FileId -> the file's first replica, held inline (node net::kNoNode:
-  // none known); its `next` starts the rest of the list in entries_.
-  // Indexed directly by the dense file id and grown to the largest id
-  // seen. Lists stay tiny (few replicas per file) and keep insertion
-  // order, which breaks best_service_node's load ties.
-  std::vector<Entry> head_;
-  // The pool of every second and later replica; freed entries chain
-  // through `next` from free_, so steady insert/evict traffic allocates
-  // nothing.
+  // FileId -> the file's record (0: no replica known). Indexed directly by
+  // the dense file id and grown to the largest id seen. The order kept
+  // breaks best_service_node's load ties.
+  std::vector<Record> records_;
+  // The pool holding each list of three or more replicas; freed entries
+  // chain through `next` from free_, so steady insert/evict traffic
+  // allocates nothing.
   std::vector<Entry> entries_;
   std::uint32_t free_ = kNone;
   // NodeId -> last piggybacked load, grown to the largest id seen; a node

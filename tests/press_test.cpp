@@ -171,18 +171,27 @@ TEST_P(LruOracleTest, MatchesListAndHashReference) {
   // catalogue, growing the dense arrays to the largest FileId.
   const auto hot = std::min<std::int64_t>(2 * static_cast<std::int64_t>(cap) + 1,
                                           kFiles);
+  // About half the ops insert, so this clears about once per four
+  // capacities of inserts: the cache fills and evicts between clears at
+  // every capacity.
+  const double clear_p = 1.0 / (8.0 * static_cast<double>(cap));
+  int clears = 0;
+  int evictions = 0;
   for (int op = 0; op < kOps; ++op) {
     const auto f = static_cast<workload::FileId>(
         rng.bernoulli(0.5) ? rng.uniform_int(0, hot - 1)
                            : rng.uniform_int(0, kFiles - 1));
     const double u = rng.uniform();
-    if (u < 0.001) {
+    if (u < clear_p) {
       cache.clear();
       ref.clear();
+      ++clears;
     } else if (u < 0.45) {
       ASSERT_EQ(cache.touch(f), ref.touch(f)) << "op " << op;
     } else {
-      ASSERT_EQ(cache.insert(f), ref.insert(f)) << "op " << op;
+      const std::optional<workload::FileId> evicted = cache.insert(f);
+      ASSERT_EQ(evicted, ref.insert(f)) << "op " << op;
+      evictions += evicted.has_value();
     }
     ASSERT_EQ(cache.size(), ref.size()) << "op " << op;
     ASSERT_EQ(cache.contains(f), ref.contains(f)) << "op " << op;
@@ -191,6 +200,10 @@ TEST_P(LruOracleTest, MatchesListAndHashReference) {
     }
   }
   EXPECT_EQ(cache.resident(), ref.resident());
+  RecordProperty("clears", clears);
+  RecordProperty("evictions", evictions);
+  EXPECT_GT(clears, 0);
+  EXPECT_GT(evictions, 0);
 }
 
 // 1 file, a 32-node cluster's share of the catalogue, and the default
@@ -299,9 +312,25 @@ TEST(Directory, LoadTiesBreakOnInsertionOrder) {
   EXPECT_EQ(d.best_service_node(5, coop), 1);
 }
 
+// A record's inline fields hold NodeIds up to 32,766. A larger id throws,
+// as a cache past its 16-bit slots does, and leaves the directory as it was.
+TEST(Directory, NodeIdPastInlineRangeThrows) {
+  Directory d;
+  d.node_caches(32766, 7);
+  EXPECT_THROW(d.node_caches(32767, 7), std::length_error);
+  EXPECT_THROW(d.install_snapshot(40000, {8}), std::length_error);
+  EXPECT_TRUE(d.node_caches_file(32766, 7));
+  EXPECT_FALSE(d.node_caches_file(32767, 7));
+  EXPECT_FALSE(d.node_caches_file(40000, 8));
+  EXPECT_EQ(d.files_known_for(32766), 1u);
+  const sim::FlatSet<net::NodeId> coop{32766, 32767, 40000};
+  EXPECT_EQ(d.best_service_node(7, coop), 32766);
+  EXPECT_EQ(d.best_service_node(8, coop), std::nullopt);
+}
+
 // Reference model: the per-file replica vectors and node -> load map that
-// the pooled lists and the dense load array replaced. The directory must
-// match it operation for operation, load ties included.
+// the records, the pooled lists and the dense load array replaced. The
+// directory must match it operation for operation, load ties included.
 class ReferenceDirectory {
  public:
   void node_caches(net::NodeId node, workload::FileId file) {
@@ -389,11 +418,16 @@ TEST_P(DirectoryOracleTest, MatchesVectorAndMapReference) {
   };
   sim::FlatSet<net::NodeId> everyone;
   for (net::NodeId n = 0; n < nodes; ++n) everyone.insert(n);
+  // Ops that take their file from two replicas (held inline) to three or
+  // more (pooled), and from three or more back to two.
+  int to_pool = 0;
+  int to_inline = 0;
 
   for (int op = 0; op < kOps; ++op) {
     const double u = rng.uniform();
     const workload::FileId f = any_file();
     net::NodeId n = any_node();
+    const std::size_t had = ref.replicas(f).size();
     if (u < 0.40) {
       dir.node_caches(n, f);
       ref.node_caches(n, f);
@@ -422,6 +456,9 @@ TEST_P(DirectoryOracleTest, MatchesVectorAndMapReference) {
       dir.remove_node(n);
       ref.remove_node(n);
     }
+    const std::size_t has = ref.replicas(f).size();
+    to_pool += had == 2 && has >= 3;
+    to_inline += had >= 3 && has == 2;
     // The touched file and node after every op, so a broken list shows
     // before later ops can walk it.
     ASSERT_EQ(dir.best_service_node(f, everyone),
@@ -451,11 +488,16 @@ TEST_P(DirectoryOracleTest, MatchesVectorAndMapReference) {
       ASSERT_EQ(dir.load(m), ref.load(m)) << "op " << op << " node " << m;
     }
   }
+  RecordProperty("to_pool", to_pool);
+  RecordProperty("to_inline", to_inline);
+  EXPECT_GT(to_pool, 0);
+  EXPECT_GT(to_inline, 0);
 }
 
-// A 4-node cluster and a 32-node one plus its front-end's id.
+// 4-, 32- and 128-node clusters (fig12's largest), each plus its
+// front-end's id.
 INSTANTIATE_TEST_SUITE_P(ClusterSizes, DirectoryOracleTest,
-                         ::testing::Values(5, 33));
+                         ::testing::Values(5, 33, 129));
 
 // A prewarmed directory at N=32 (PressNode::prewarm_cache: the whole
 // catalogue, owner f % 32, descending ids, the node's own share skipped)
@@ -480,8 +522,8 @@ TEST(Directory, PrewarmedBuildAllocatesOnlyToGrowItsArrays) {
 
 // One prewarmed node of a 32-node cluster: the directory above plus a full
 // default cache (128 MB of 27 KB files) that took FileIds 25,999 down to 0.
-// Sized by what the node holds, its state is about 290 KB: the
-// directory's FileId-indexed first replicas (8 B per file) and the cache's
+// Sized by what the node holds, its state is about 190 KB: the
+// directory's FileId-indexed records (4 B per file) and the cache's
 // 16-bit slot table (2 B per file) and slots (8 B per cached file). A
 // catalogue-sized layout (8 B of cache links per file, every replica in
 // a pool grown by doubling) takes about 565 KB, so the bound tells them
@@ -504,6 +546,27 @@ TEST(PressFootprint, PrewarmedThirtyTwoNodeStateStaysUnder360KB) {
   ASSERT_EQ(cache.size(), 4854u);
   RecordProperty("live_bytes", static_cast<int>(live));
   EXPECT_LT(live, 360 * 1024);
+}
+
+// A 32-node directory in which every file has its owner f % 32 and every
+// even file also (f + 1) % 32, in descending FileIds. Both replicas fit
+// the file's 4-byte record, so the directory is one 104 KB array and an
+// empty pool. An 8-byte head per file plus a pool of the 13,000 second
+// replicas takes about 331 KiB.
+TEST(PressFootprint, TwoReplicaThirtyTwoNodeDirectoryStaysUnder160KB) {
+  constexpr int kNodes = 32;
+  constexpr workload::FileId kFiles = 26000;
+  const std::int64_t before = live_bytes();
+  Directory d;
+  for (workload::FileId f = kFiles - 1; f >= 0; --f) {
+    d.node_caches(f % kNodes, f);
+    if (f % 2 == 0) d.node_caches((f + 1) % kNodes, f);
+  }
+  const std::int64_t live = live_bytes() - before;
+  // Node 1 owns 813 files and is the second replica of node 0's 813.
+  ASSERT_EQ(d.files_known_for(1), 1626u);
+  RecordProperty("live_bytes", static_cast<int>(live));
+  EXPECT_LT(live, 160 * 1024);
 }
 
 }  // namespace
