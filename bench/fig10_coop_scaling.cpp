@@ -6,16 +6,19 @@
 #include <cstdio>
 #include <iostream>
 
-#include "availsim/harness/model_cache.hpp"
+#include "availsim/harness/campaign.hpp"
+#include "availsim/harness/experiment.hpp"
 #include "availsim/harness/report.hpp"
 #include "availsim/model/scaling.hpp"
 
 using namespace availsim;
 
 int main() {
-  const std::string cache = harness::default_cache_dir();
-  model::SystemModel coop4 = harness::characterize_cached(
-      harness::default_testbed_options(harness::ServerConfig::kCoop), cache);
+  const harness::Characterization measured = harness::characterize(
+      {harness::default_testbed_options(harness::ServerConfig::kCoop)},
+      harness::resolve_jobs())[0];
+  std::fputs(measured.progress.c_str(), stdout);
+  const model::SystemModel& coop4 = measured.model;
   model::SystemModel coop8 = model::scale_cluster(coop4, 4, 8);
   model::SystemModel coop16 = model::scale_cluster(coop4, 4, 16);
 

@@ -23,7 +23,7 @@
 #include "availsim/fault/injector.hpp"
 #include "availsim/harness/campaign.hpp"
 #include "availsim/harness/experiment.hpp"
-#include "availsim/harness/model_cache.hpp"
+#include "availsim/harness/export.hpp"
 #include "availsim/harness/testbed.hpp"
 #include "availsim/workload/recorder.hpp"
 
@@ -163,8 +163,7 @@ int main(int argc, char** argv) {
   json += "]\n";
   std::fputs(json.c_str(), stdout);
 
-  const std::string path =
-      harness::default_cache_dir() + "/fig11_gray_faults.json";
+  const std::string path = harness::results_dir() + "/fig11_gray_faults.json";
   if (std::ofstream out(path); out && (out << json)) {
     std::fprintf(stderr, "(aggregated campaign JSON written to %s)\n",
                  path.c_str());

@@ -4,17 +4,15 @@
 // tension: cooperation triples throughput but costs ~an order of
 // magnitude in availability.
 //
-// The three characterization campaigns run in parallel (--jobs N, default
-// all cores); results are aggregated in replica order so the output is
-// byte-identical for every jobs value.
+// The three configurations' Phase-1 fault runs fan out as one campaign
+// (--jobs N, default all cores); results are aggregated in run order so
+// the output is byte-identical for every jobs value.
 
 #include <cstdio>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "availsim/harness/campaign.hpp"
-#include "availsim/harness/model_cache.hpp"
+#include "availsim/harness/experiment.hpp"
 #include "availsim/model/hardware.hpp"
 #include "availsim/harness/report.hpp"
 
@@ -23,7 +21,6 @@ using namespace availsim;
 int main(int argc, char** argv) {
   harness::parse_trace_flags(argc, argv);
   const int jobs = harness::parse_jobs_flag(argc, argv, 0);
-  const std::string cache = harness::default_cache_dir();
   struct Row {
     harness::ServerConfig config;
     double capacity_rps;  // saturated capacity (throughput bar)
@@ -37,20 +34,14 @@ int main(int argc, char** argv) {
   };
   constexpr int kRows = 3;
 
-  struct Characterized {
-    model::SystemModel model;
-    std::string log;
-  };
+  std::vector<harness::TestbedOptions> configs;
+  for (const Row& row : rows) {
+    configs.push_back(harness::default_testbed_options(row.config));
+  }
   harness::WallTimer campaign_timer;
-  std::vector<Characterized> measured = harness::run_replicas(
-      jobs, kRows, [&](int i) {
-        std::string log;
-        model::SystemModel m = harness::characterize_cached(
-            harness::default_testbed_options(rows[i].config), cache, {},
-            &log);
-        return Characterized{std::move(m), std::move(log)};
-      });
-  for (const auto& r : measured) std::fputs(r.log.c_str(), stdout);
+  const std::vector<harness::Characterization> measured =
+      harness::characterize(configs, jobs);
+  for (const auto& c : measured) std::fputs(c.progress.c_str(), stdout);
   std::fprintf(stderr,
                "[campaign] fig1a: %d characterizations, --jobs %d, %.1f s\n",
                kRows, jobs, campaign_timer.seconds());

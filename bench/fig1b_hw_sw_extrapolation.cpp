@@ -10,7 +10,8 @@
 
 #include <cstdio>
 
-#include "availsim/harness/model_cache.hpp"
+#include "availsim/harness/campaign.hpp"
+#include "availsim/harness/experiment.hpp"
 #include "availsim/harness/report.hpp"
 #include "availsim/model/hardware.hpp"
 #include "availsim/model/predictions.hpp"
@@ -18,10 +19,11 @@
 using namespace availsim;
 
 int main() {
-  const std::string cache = harness::default_cache_dir();
-  harness::TestbedOptions opts =
-      harness::default_testbed_options(harness::ServerConfig::kCoop);
-  model::SystemModel coop = harness::characterize_cached(opts, cache);
+  const harness::Characterization measured = harness::characterize(
+      {harness::default_testbed_options(harness::ServerConfig::kCoop)},
+      harness::resolve_jobs())[0];
+  std::fputs(measured.progress.c_str(), stdout);
+  const model::SystemModel& coop = measured.model;
 
   // HW: front-end + spare (masking node-down faults only) + RAID + backup
   // switch + redundant FE.

@@ -6,7 +6,8 @@
 
 #include <cstdio>
 
-#include "availsim/harness/model_cache.hpp"
+#include "availsim/harness/campaign.hpp"
+#include "availsim/harness/experiment.hpp"
 #include "availsim/harness/report.hpp"
 #include "availsim/model/hardware.hpp"
 #include "availsim/model/predictions.hpp"
@@ -14,9 +15,11 @@
 using namespace availsim;
 
 int main() {
-  const std::string cache = harness::default_cache_dir();
-  model::SystemModel coop = harness::characterize_cached(
-      harness::default_testbed_options(harness::ServerConfig::kCoop), cache);
+  const harness::Characterization measured = harness::characterize(
+      {harness::default_testbed_options(harness::ServerConfig::kCoop)},
+      harness::resolve_jobs())[0];
+  std::fputs(measured.progress.c_str(), stdout);
+  const model::SystemModel& coop = measured.model;
 
   model::SystemModel fex =
       model::predict_fex_from_coop(coop, 6 * 30 * 86400.0, 180.0);

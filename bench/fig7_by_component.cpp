@@ -4,8 +4,9 @@
 // measurements, computed before implementing the technique) and
 // "measured" (fault injection into the fully implemented system).
 //
-// The six Phase-1 characterization campaigns are independent (each owns a
-// private Simulator/Testbed world) and fan out across cores:
+// The six configurations' Phase-1 fault runs are independent (each owns a
+// private Simulator/Testbed world) and fan out across cores as one
+// campaign:
 //   ./fig7_by_component [--jobs N]     (default: all cores; AVAILSIM_JOBS
 //                                       overrides; output is byte-identical
 //                                       for every N)
@@ -17,8 +18,8 @@
 #include <vector>
 
 #include "availsim/harness/campaign.hpp"
+#include "availsim/harness/experiment.hpp"
 #include "availsim/harness/export.hpp"
-#include "availsim/harness/model_cache.hpp"
 #include "availsim/harness/report.hpp"
 #include "availsim/model/hardware.hpp"
 #include "availsim/model/predictions.hpp"
@@ -28,7 +29,6 @@ using namespace availsim;
 int main(int argc, char** argv) {
   harness::parse_trace_flags(argc, argv);
   const int jobs = harness::parse_jobs_flag(argc, argv, 0);
-  const std::string cache = harness::default_cache_dir();
 
   struct Entry {
     const char* name;
@@ -44,20 +44,14 @@ int main(int argc, char** argv) {
   };
   constexpr int kConfigs = 6;
 
-  struct Characterized {
-    model::SystemModel model;
-    std::string log;
-  };
+  std::vector<harness::TestbedOptions> configs;
+  for (const Entry& e : entries) {
+    configs.push_back(harness::default_testbed_options(e.config));
+  }
   harness::WallTimer campaign_timer;
-  std::vector<Characterized> measured = harness::run_replicas(
-      jobs, kConfigs, [&](int i) {
-        std::string log;
-        model::SystemModel m = harness::characterize_cached(
-            harness::default_testbed_options(entries[i].config), cache, {},
-            &log);
-        return Characterized{std::move(m), std::move(log)};
-      });
-  for (const auto& r : measured) std::fputs(r.log.c_str(), stdout);
+  const std::vector<harness::Characterization> measured =
+      harness::characterize(configs, jobs);
+  for (const auto& c : measured) std::fputs(c.progress.c_str(), stdout);
   std::fprintf(stderr,
                "[campaign] fig7: %d characterizations, --jobs %d, %.1f s\n",
                kConfigs, jobs, campaign_timer.seconds());
@@ -96,11 +90,12 @@ int main(int argc, char** argv) {
       fme_measured = m.unavailability();
     }
   }
-  const std::string csv = cache + "/fig7.csv";
+  const std::string dir = harness::results_dir();
+  const std::string csv = dir + "/fig7.csv";
   if (harness::export_breakdown_csv(rows, csv)) {
     std::printf("\n(plot-ready data written to %s)\n", csv.c_str());
   }
-  const std::string json = cache + "/fig7.json";
+  const std::string json = dir + "/fig7.json";
   if (harness::export_breakdown_json(rows, json)) {
     std::printf("(aggregated campaign JSON written to %s)\n", json.c_str());
   }

@@ -13,7 +13,8 @@
 #include <cstdio>
 
 #include "availsim/fault/injector.hpp"
-#include "availsim/harness/model_cache.hpp"
+#include "availsim/harness/campaign.hpp"
+#include "availsim/harness/experiment.hpp"
 #include "availsim/harness/testbed.hpp"
 
 using namespace availsim;
@@ -22,13 +23,14 @@ int main() {
   constexpr double kAccel = 100.0;
   constexpr sim::Time kHorizon = 3 * sim::kHour;
 
-  const std::string cache = harness::default_cache_dir();
-  harness::TestbedOptions opts =
+  const harness::TestbedOptions opts =
       harness::default_testbed_options(harness::ServerConfig::kCoop);
-  model::SystemModel analytic = harness::characterize_cached(opts, cache);
+  const harness::Characterization phase1 =
+      harness::characterize({opts}, harness::resolve_jobs())[0];
+  std::fputs(phase1.progress.c_str(), stdout);
 
   // Analytic prediction under the accelerated load.
-  model::SystemModel accel = analytic;
+  model::SystemModel accel = phase1.model;
   double fault_fraction = 0;
   for (auto& f : accel.faults()) {
     f.mttf_seconds /= kAccel;

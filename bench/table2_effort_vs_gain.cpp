@@ -6,8 +6,10 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
-#include "availsim/harness/model_cache.hpp"
+#include "availsim/harness/campaign.hpp"
+#include "availsim/harness/experiment.hpp"
 #include "availsim/harness/report.hpp"
 
 using namespace availsim;
@@ -24,28 +26,21 @@ std::string source_base() {
 }  // namespace
 
 int main() {
-  const std::string cache = harness::default_cache_dir();
   const std::string base = source_base();
 
-  const double coop_u =
-      harness::characterize_cached(
-          harness::default_testbed_options(harness::ServerConfig::kCoop),
-          cache)
-          .unavailability();
-  const double mem_u =
-      harness::characterize_cached(
-          harness::default_testbed_options(harness::ServerConfig::kMem),
-          cache)
-          .unavailability();
-  const double mq_u =
-      harness::characterize_cached(
-          harness::default_testbed_options(harness::ServerConfig::kMq), cache)
-          .unavailability();
-  const double fme_u =
-      harness::characterize_cached(
-          harness::default_testbed_options(harness::ServerConfig::kFme),
-          cache)
-          .unavailability();
+  std::vector<harness::TestbedOptions> configs;
+  for (const auto config :
+       {harness::ServerConfig::kCoop, harness::ServerConfig::kMem,
+        harness::ServerConfig::kMq, harness::ServerConfig::kFme}) {
+    configs.push_back(harness::default_testbed_options(config));
+  }
+  const std::vector<harness::Characterization> measured =
+      harness::characterize(configs, harness::resolve_jobs());
+  for (const auto& c : measured) std::fputs(c.progress.c_str(), stdout);
+  const double coop_u = measured[0].model.unavailability();
+  const double mem_u = measured[1].model.unavailability();
+  const double mq_u = measured[2].model.unavailability();
+  const double fme_u = measured[3].model.unavailability();
 
   const std::size_t mem_ncsl =
       harness::count_ncsl(harness::subsystem_sources(base, "membership"));

@@ -63,7 +63,6 @@
 
 #include "availsim/harness/experiment.hpp"
 #include "availsim/harness/export.hpp"
-#include "availsim/harness/model_cache.hpp"
 #include "availsim/harness/report.hpp"
 #include "availsim/harness/stage_extractor.hpp"
 #include "availsim/harness/testbed.hpp"

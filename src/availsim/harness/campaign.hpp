@@ -48,7 +48,7 @@ void run_indexed(int jobs, int count, const std::function<void(int)>& task);
 /// Rng, Testbed); the substrate is single-threaded by design and nothing
 /// may be shared mutably across replicas. Replicas also must not write to
 /// stdout — return log text as part of the result and print it after the
-/// join (see model_cache.hpp's progress_log parameter).
+/// join (see experiment.hpp's Characterization::progress).
 template <typename Fn>
 auto run_replicas(int jobs, int count, Fn&& fn)
     -> std::vector<std::invoke_result_t<Fn&, int>> {

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 
+#include "availsim/harness/campaign.hpp"
 #include "availsim/harness/stage_extractor.hpp"
 
 namespace availsim::harness {
@@ -150,22 +152,43 @@ Phase1Result run_single_fault(const TestbedOptions& options,
   return result;
 }
 
-model::SystemModel characterize(const TestbedOptions& options,
-                                const Phase1Options& phase1,
-                                std::function<void(const Phase1Result&)>
-                                    on_result) {
-  std::vector<model::FaultTemplate> faults;
-  double t0 = 0;
-  sim::Simulator probe_sim;
-  Testbed probe(probe_sim, options);
-  for (const auto& spec : probe.fault_load()) {
-    const int component = representative_component(options, spec.type);
-    Phase1Result r = run_single_fault(options, spec.type, component, phase1);
-    t0 = std::max(t0, r.t0);
-    faults.push_back(r.tmpl);
-    if (on_result) on_result(r);
+std::vector<Characterization> characterize(
+    const std::vector<TestbedOptions>& configs, int jobs,
+    const Phase1Options& phase1) {
+  struct Run {
+    std::size_t config;
+    fault::FaultType type;
+  };
+  std::vector<Characterization> out(configs.size());
+  std::vector<Run> plan;
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    const auto load = fault_load(configs[c]);
+    for (const auto& spec : load) plan.push_back({c, spec.type});
+    out[c].progress = std::string("[phase1] characterizing ") +
+                      to_string(configs[c].config) + " (" +
+                      std::to_string(load.size()) +
+                      " single-fault campaigns)...\n";
   }
-  return model::SystemModel(t0, std::move(faults));
+  const std::vector<Phase1Result> runs = run_replicas(
+      jobs, static_cast<int>(plan.size()), [&](int k) {
+        const Run& run = plan[static_cast<std::size_t>(k)];
+        const TestbedOptions& options = configs[run.config];
+        return run_single_fault(options, run.type,
+                                representative_component(options, run.type),
+                                phase1);
+      });
+  for (std::size_t k = 0; k < plan.size(); ++k) {
+    const Phase1Result& r = runs[k];
+    Characterization& c = out[plan[k].config];
+    c.model.set_t0(std::max(c.model.t0(), r.t0));
+    c.model.faults().push_back(r.tmpl);
+    char line[256];
+    std::snprintf(line, sizeof(line), "  %-18s T0=%7.1f  %s\n",
+                  fault::to_string(r.type), r.t0,
+                  model::to_string(r.tmpl.stages).c_str());
+    c.progress += line;
+  }
+  return out;
 }
 
 double simulate_expected_load(const TestbedOptions& options, sim::Time horizon,

@@ -1,7 +1,6 @@
 #pragma once
 
-#include <functional>
-#include <optional>
+#include <string>
 #include <vector>
 
 #include "availsim/harness/testbed.hpp"
@@ -56,12 +55,25 @@ double measure_fault_free_throughput(const TestbedOptions& options,
 int representative_component(const TestbedOptions& options,
                              fault::FaultType type);
 
-/// Runs Phase 1 for every fault class of the configuration and assembles
-/// the Phase-2 analytic model.
-model::SystemModel characterize(const TestbedOptions& options,
-                                const Phase1Options& phase1 = {},
-                                std::function<void(const Phase1Result&)>
-                                    on_result = nullptr);
+/// One configuration's Phase-1 outcome.
+struct Characterization {
+  /// The Phase-2 analytic model: T0 is the highest T0 of the
+  /// configuration's runs, and the templates keep fault-load order.
+  model::SystemModel model;
+  /// A "[phase1]" header and one line per fault class, for the caller to
+  /// print once the campaign has joined.
+  std::string progress;
+};
+
+/// Runs Phase 1 for every configuration in `configs` as one flat campaign:
+/// each (configuration, fault class) pair of fault_load() is one
+/// run_single_fault on its representative component, and the runs fan out
+/// over up to `jobs` workers (harness/campaign.hpp). Results combine in run
+/// order, so the output is identical for every `jobs`. Returns one entry
+/// per configuration, in the order given.
+std::vector<Characterization> characterize(
+    const std::vector<TestbedOptions>& configs, int jobs,
+    const Phase1Options& phase1 = {});
 
 /// Directly simulates the expected fault load for `horizon` and returns
 /// measured availability — the end-to-end validation of the Phase-2

@@ -1,11 +1,24 @@
 #include "availsim/harness/export.hpp"
 
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <system_error>
 
 #include "availsim/model/template.hpp"
 
 namespace availsim::harness {
+
+std::string results_dir() {
+  const char* env = std::getenv("AVAILSIM_CACHE_DIR");
+  std::string dir = env ? env : "availsim_results";
+  // An unwritable location is not an error here: the exporters then fail
+  // and report it through their return value.
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);
+  return dir;
+}
 
 bool export_model_csv(const model::SystemModel& model,
                       const std::string& path) {

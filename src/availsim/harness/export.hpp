@@ -8,6 +8,11 @@
 
 namespace availsim::harness {
 
+/// Directory the benches write their plot-ready CSV/JSON to:
+/// AVAILSIM_CACHE_DIR when set, otherwise ./availsim_results. Created if
+/// missing.
+std::string results_dir();
+
 /// Writes one characterized system as CSV: a row per fault class with its
 /// MTTF/MTTR/component count, the seven stage durations and throughputs,
 /// and the resulting unavailability contribution. Plot-ready.

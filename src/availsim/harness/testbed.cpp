@@ -22,6 +22,10 @@ constexpr sim::Time kAuditTickPeriod = 30 * sim::kSecond;
 constexpr int kHotFiles = 8000;
 constexpr double kHotWeight = 0.80;
 
+bool with_frontend(ServerConfig config) {
+  return config != ServerConfig::kIndep && config != ServerConfig::kCoop;
+}
+
 bool env_truthy(const char* name) {
   const char* v = std::getenv(name);
   return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
@@ -42,10 +46,7 @@ const char* to_string(ServerConfig config) {
   return "?";
 }
 
-bool Testbed::has_frontend() const {
-  return opts_.config != ServerConfig::kIndep &&
-         opts_.config != ServerConfig::kCoop;
-}
+bool Testbed::has_frontend() const { return with_frontend(opts_.config); }
 
 bool Testbed::cooperative() const {
   return opts_.config != ServerConfig::kIndep &&
@@ -483,9 +484,14 @@ fme::FmeDaemon* Testbed::fme_daemon(int i) {
   return servers_[static_cast<std::size_t>(i)].fme.get();
 }
 
+std::vector<fault::FaultSpec> fault_load(const TestbedOptions& options) {
+  const bool frontend = with_frontend(options.config);
+  return fault::table1_fault_load(options.base_nodes + (frontend ? 1 : 0),
+                                  options.press.disk_count, frontend);
+}
+
 std::vector<fault::FaultSpec> Testbed::fault_load() const {
-  return fault::table1_fault_load(server_count(), opts_.press.disk_count,
-                                  has_frontend());
+  return harness::fault_load(opts_);
 }
 
 // ---------------------------------------------------------------------------

@@ -75,6 +75,10 @@ struct TestbedOptions {
   std::string trace_label;
 };
 
+/// Table 1 fault load matching `options`' component counts: its back-end
+/// nodes, the extra node of a front-end configuration, and their disks.
+std::vector<fault::FaultSpec> fault_load(const TestbedOptions& options);
+
 /// One fully wired instance of the paper's experimental environment: the
 /// intra-cluster and client fabrics, hosts, disks, PRESS processes, the
 /// configured HA subsystems, the client fleet, the measurement recorder,
@@ -98,7 +102,7 @@ class Testbed : public fault::FaultTarget {
   void inject(fault::FaultType type, int component) override;
   void repair(fault::FaultType type, int component) override;
 
-  /// Table 1 fault load matching this configuration's component counts.
+  /// harness::fault_load of this testbed's options.
   std::vector<fault::FaultSpec> fault_load() const;
 
   /// --- introspection ---

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <stdexcept>
 #include <string>
@@ -135,6 +138,93 @@ TEST(CampaignEquivalence, Jobs4MatchesJobs1ByteForByte) {
   EXPECT_EQ(serial, parallel);
   EXPECT_NE(serial.find("\"replica\": 0"), std::string::npos);
   EXPECT_NE(serial.find("\"replica\": 3"), std::string::npos);
+}
+
+// Phase 1 cut short (a 30 s warm-up at 400 req/s, every window a few
+// seconds) so fifteen fault runs, twice over, stay cheap under TSan.
+TestbedOptions short_phase1_options(ServerConfig config) {
+  TestbedOptions opts = default_testbed_options(config);
+  opts.offered_rps = 400;
+  opts.warmup = 30 * sim::kSecond;
+  opts.operator_response = 30 * sim::kSecond;
+  return opts;
+}
+
+Phase1Options short_phase1() {
+  Phase1Options p;
+  p.t0_window = 10 * sim::kSecond;
+  p.repair_cap = 20 * sim::kSecond;
+  p.stabilize_window = 10 * sim::kSecond;
+  p.warm_window = 10 * sim::kSecond;
+  p.post_reset = 10 * sim::kSecond;
+  return p;
+}
+
+// Phase 1 run serially: a probe Testbed's fault load, one run per fault
+// class on its representative component, T0 the highest of the runs'.
+model::SystemModel serial_characterize(const TestbedOptions& options,
+                                       const Phase1Options& phase1) {
+  sim::Simulator probe_sim;
+  Testbed probe(probe_sim, options);
+  std::vector<model::FaultTemplate> faults;
+  double t0 = 0;
+  for (const auto& spec : probe.fault_load()) {
+    const Phase1Result r = run_single_fault(
+        options, spec.type, representative_component(options, spec.type),
+        phase1);
+    t0 = std::max(t0, r.t0);
+    faults.push_back(r.tmpl);
+  }
+  return model::SystemModel(t0, std::move(faults));
+}
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+// The flat Phase-1 campaign on 4 workers (COOP without a front-end, FE-X
+// with one: 7 + 8 runs) reproduces the serial characterization bit for
+// bit, and each header counts the runs its configuration got.
+TEST(CampaignEquivalence, FlatPhase1MatchesSerialCharacterization) {
+  const std::vector<TestbedOptions> configs = {
+      short_phase1_options(ServerConfig::kCoop),
+      short_phase1_options(ServerConfig::kFeX)};
+  const std::size_t runs[] = {7, 8};
+  const Phase1Options phase1 = short_phase1();
+  const std::vector<Characterization> flat =
+      characterize(configs, /*jobs=*/4, phase1);
+  ASSERT_EQ(flat.size(), configs.size());
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    const std::string name = to_string(configs[c].config);
+    SCOPED_TRACE(name);
+    const model::SystemModel ref = serial_characterize(configs[c], phase1);
+    const model::SystemModel& got = flat[c].model;
+    EXPECT_GT(ref.t0(), 0.0);
+    EXPECT_EQ(bits(got.t0()), bits(ref.t0()));
+    ASSERT_EQ(ref.faults().size(), runs[c]);
+    ASSERT_EQ(got.faults().size(), runs[c]);
+    for (std::size_t i = 0; i < runs[c]; ++i) {
+      const model::FaultTemplate& g = got.faults()[i];
+      const model::FaultTemplate& r = ref.faults()[i];
+      EXPECT_EQ(g.type, r.type) << "fault " << i;
+      EXPECT_EQ(bits(g.mttf_seconds), bits(r.mttf_seconds)) << "fault " << i;
+      EXPECT_EQ(bits(g.mttr_seconds), bits(r.mttr_seconds)) << "fault " << i;
+      EXPECT_EQ(g.components, r.components) << "fault " << i;
+      for (int s = 0; s < model::kStageCount; ++s) {
+        EXPECT_EQ(bits(g.stages.duration[s]), bits(r.stages.duration[s]))
+            << "fault " << i << " stage " << s;
+        EXPECT_EQ(bits(g.stages.throughput[s]), bits(r.stages.throughput[s]))
+            << "fault " << i << " stage " << s;
+      }
+    }
+    const std::string& progress = flat[c].progress;
+    EXPECT_EQ(progress.rfind("[phase1] characterizing " + name + " (" +
+                                 std::to_string(runs[c]) +
+                                 " single-fault campaigns)...\n",
+                             0),
+              0u);
+    EXPECT_EQ(static_cast<std::size_t>(
+                  std::count(progress.begin(), progress.end(), '\n')),
+              runs[c] + 1);
+  }
 }
 
 TEST(BenchJsonWriter, PreservesInsertionOrderAndTypes) {

@@ -1,12 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <fstream>
+#include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <sstream>
 
 #include "availsim/harness/export.hpp"
-#include "availsim/harness/model_cache.hpp"
 #include "availsim/harness/report.hpp"
 #include "availsim/harness/stage_extractor.hpp"
 
@@ -178,48 +178,14 @@ TEST(Report, SubsystemSourcesNonEmpty) {
   EXPECT_TRUE(subsystem_sources("src", "unknown").empty());
 }
 
-// ---------------------------------------------------------------------------
-// Model cache round-trip
-// ---------------------------------------------------------------------------
-
-TEST(ModelCache, SaveLoadRoundTrip) {
-  model::FaultTemplate f;
-  f.type = fault::FaultType::kScsiTimeout;
-  f.mttf_seconds = 31536000;
-  f.mttr_seconds = 3600;
-  f.components = 8;
-  f.stages.t(model::Stage::kA) = 16;
-  f.stages.tput(model::Stage::kA) = 123.5;
-  f.stages.t(model::Stage::kC) = 3500;
-  f.stages.tput(model::Stage::kC) = 1500.25;
-  model::SystemModel m(2000.0, {f});
-
-  const std::string path = "/tmp/availsim_cache_test/model.txt";
-  std::filesystem::remove_all("/tmp/availsim_cache_test");
-  save_model(m, path);
-  auto loaded = load_model(path);
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_DOUBLE_EQ(loaded->t0(), 2000.0);
-  ASSERT_EQ(loaded->faults().size(), 1u);
-  const auto& g = loaded->faults()[0];
-  EXPECT_EQ(g.type, fault::FaultType::kScsiTimeout);
-  EXPECT_EQ(g.components, 8);
-  EXPECT_DOUBLE_EQ(g.stages.tput(model::Stage::kC), 1500.25);
-  EXPECT_NEAR(loaded->unavailability(), m.unavailability(), 1e-12);
+TEST(Export, ResultsDirHonorsCacheDirVariableAndCreatesIt) {
+  const std::string dir = "/tmp/availsim_results_dir_test/nested";
+  std::filesystem::remove_all("/tmp/availsim_results_dir_test");
+  ::setenv("AVAILSIM_CACHE_DIR", dir.c_str(), 1);
+  EXPECT_EQ(results_dir(), dir);
+  ::unsetenv("AVAILSIM_CACHE_DIR");
+  EXPECT_TRUE(std::filesystem::is_directory(dir));
 }
-
-TEST(ModelCache, MissingFileReturnsNullopt) {
-  EXPECT_FALSE(load_model("/tmp/does_not_exist_availsim.model").has_value());
-}
-
-TEST(ModelCache, CorruptFileReturnsNullopt) {
-  const std::string path = "/tmp/availsim_corrupt.model";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  std::fputs("bogus content\n", f);
-  std::fclose(f);
-  EXPECT_FALSE(load_model(path).has_value());
-}
-
 
 TEST(Export, ModelCsvHasHeaderAndRows) {
   model::FaultTemplate f;

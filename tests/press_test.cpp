@@ -419,36 +419,44 @@ TEST_P(DirectoryOracleTest, MatchesVectorAndMapReference) {
   sim::FlatSet<net::NodeId> everyone;
   for (net::NodeId n = 0; n < nodes; ++n) everyone.insert(n);
   // Ops that take their file from two replicas (held inline) to three or
-  // more (pooled), and from three or more back to two.
+  // more (pooled), and from three or more back to two; and the longest
+  // list an op left.
   int to_pool = 0;
   int to_inline = 0;
+  std::size_t longest = 0;
 
   for (int op = 0; op < kOps; ++op) {
     const double u = rng.uniform();
     const workload::FileId f = any_file();
     net::NodeId n = any_node();
     const std::size_t had = ref.replicas(f).size();
-    if (u < 0.40) {
-      dir.node_caches(n, f);
-      ref.node_caches(n, f);
-    } else if (u < 0.75) {
-      // Mostly a replica the file has, from anywhere in its list, so
-      // unlinks hit the head, the middle and the tail.
-      const auto& known = ref.replicas(f);
-      if (!known.empty() && rng.bernoulli(0.8)) {
-        n = known[static_cast<std::size_t>(
-            rng.uniform_int(0, static_cast<std::int64_t>(known.size()) - 1))];
+    if (u < 0.75) {
+      // An add with probability 1 - len/4 (at least 5%), else an evict:
+      // the two are even at two replicas, so lists hover at the
+      // inline/pool boundary at every cluster size, while the rare add
+      // past four and the snapshots below still grow some to five or more.
+      if (rng.bernoulli(std::max(0.05, 1.0 - static_cast<double>(had) / 4))) {
+        dir.node_caches(n, f);
+        ref.node_caches(n, f);
+      } else {
+        // Mostly a replica the file has, from anywhere in its list, so
+        // unlinks hit the head, the middle and the tail.
+        const auto& known = ref.replicas(f);
+        if (!known.empty() && rng.bernoulli(0.8)) {
+          n = known[static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(known.size()) - 1))];
+        }
+        dir.node_evicts(n, f);
+        ref.node_evicts(n, f);
       }
-      dir.node_evicts(n, f);
-      ref.node_evicts(n, f);
     } else if (u < 0.95) {
       // Loads from {0, 1, 2}: ties are common, so insertion order decides.
       const int load = static_cast<int>(rng.uniform_int(0, 2));
       dir.set_load(n, load);
       ref.set_load(n, load);
-    } else if (u < 0.99) {
+    } else if (u < 0.998) {
       std::vector<workload::FileId> snap(
-          static_cast<std::size_t>(rng.uniform_int(0, 40)));
+          static_cast<std::size_t>(rng.uniform_int(0, 8)));
       for (auto& s : snap) s = any_file();
       dir.install_snapshot(n, snap);
       ref.install_snapshot(n, snap);
@@ -459,6 +467,7 @@ TEST_P(DirectoryOracleTest, MatchesVectorAndMapReference) {
     const std::size_t has = ref.replicas(f).size();
     to_pool += had == 2 && has >= 3;
     to_inline += had >= 3 && has == 2;
+    longest = std::max(longest, has);
     // The touched file and node after every op, so a broken list shows
     // before later ops can walk it.
     ASSERT_EQ(dir.best_service_node(f, everyone),
@@ -490,8 +499,13 @@ TEST_P(DirectoryOracleTest, MatchesVectorAndMapReference) {
   }
   RecordProperty("to_pool", to_pool);
   RecordProperty("to_inline", to_inline);
-  EXPECT_GT(to_pool, 0);
-  EXPECT_GT(to_inline, 0);
+  RecordProperty("longest", static_cast<int>(longest));
+  EXPECT_GE(to_pool, 1000);
+  EXPECT_GE(to_inline, 1000);
+  // Long pooled lists stay covered wherever the cluster has room for them.
+  if (nodes >= 33) {
+    EXPECT_GE(longest, 5u);
+  }
 }
 
 // 4-, 32- and 128-node clusters (fig12's largest), each plus its
