@@ -24,7 +24,7 @@
 #include "availsim/net/network.hpp"
 #include "availsim/press/cache.hpp"
 #include "availsim/press/directory.hpp"
-#include "availsim/sim/flat.hpp"
+#include "availsim/sim/node_set.hpp"
 #include "availsim/sim/rng.hpp"
 #include "availsim/sim/simulator.hpp"
 #include "availsim/workload/recorder.hpp"
@@ -117,7 +117,7 @@ static void BM_DirectoryLookup(benchmark::State& state) {
     }
     dir.set_load(n, n);
   }
-  sim::FlatSet<net::NodeId> coop{0, 1, 2, 3};
+  sim::NodeSet coop{0, 1, 2, 3};
   workload::ZipfSampler zipf(26000, 0.7);
   std::int64_t sink = 0;
   for (auto _ : state) {

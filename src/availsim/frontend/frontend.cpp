@@ -23,14 +23,6 @@ void Frontend::set_backend_alive(net::NodeId node, bool alive) {
   }
 }
 
-std::vector<net::NodeId> Frontend::alive_backends() const {
-  std::vector<net::NodeId> out;
-  for (net::NodeId b : backends_) {
-    if (alive_.contains(b)) out.push_back(b);
-  }
-  return out;
-}
-
 void Frontend::start() {
   running_ = true;
   cpu_free_ = sim_.now();

@@ -1,10 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 #include "availsim/net/network.hpp"
+#include "availsim/sim/node_set.hpp"
 #include "availsim/sim/time.hpp"
 
 namespace availsim::frontend {
@@ -31,8 +31,6 @@ class Frontend {
 
   /// Mon's trigger action: adds/deletes the entry in the distribution table.
   void set_backend_alive(net::NodeId node, bool alive);
-  bool backend_alive(net::NodeId node) const { return alive_.contains(node); }
-  std::vector<net::NodeId> alive_backends() const;
 
   void start();
   void on_host_crashed();
@@ -50,7 +48,7 @@ class Frontend {
   FrontendParams p_;
   bool running_ = false;
   std::vector<net::NodeId> backends_;
-  std::unordered_set<net::NodeId> alive_;
+  sim::NodeSet alive_;
   std::size_t rr_ = 0;
   sim::Time cpu_free_ = 0;
   std::uint64_t forwarded_ = 0;

@@ -21,12 +21,13 @@ void Monitor::set_targets(std::vector<net::NodeId> targets) {
 void Monitor::start() {
   ++epoch_;
   running_ = true;
-  state_.clear();
+  state_.assign(state_.size(), State{});
   const sim::Time period = p_.mode == MonitorParams::Mode::kPing
                                ? p_.ping_period
                                : p_.tcp_period;
   for (std::size_t i = 0; i < targets_.size(); ++i) {
-    state_[targets_[i]] = State{};
+    const auto n = static_cast<std::size_t>(targets_[i]);
+    if (n >= state_.size()) state_.resize(n + 1);
     // Stagger probes across the period so they don't fire in lock-step.
     const sim::Time offset =
         static_cast<sim::Time>(static_cast<double>(period) *
@@ -44,8 +45,8 @@ void Monitor::on_host_crashed() {
 void Monitor::on_host_rebooted() { start(); }
 
 bool Monitor::is_up(net::NodeId node) const {
-  auto it = state_.find(node);
-  return it == state_.end() || it->second.up;
+  const auto n = static_cast<std::size_t>(node);
+  return node < 0 || n >= state_.size() || state_[n].up;
 }
 
 void Monitor::arm(net::NodeId target, sim::Time delay) {
@@ -95,7 +96,7 @@ bool Monitor::tcp_connect_ok(net::NodeId target) const {
 }
 
 void Monitor::record(net::NodeId target, bool ok) {
-  State& s = state_[target];
+  State& s = state_[static_cast<std::size_t>(target)];
   const int tolerance = p_.mode == MonitorParams::Mode::kPing
                             ? p_.ping_tolerance
                             : p_.tcp_tolerance;

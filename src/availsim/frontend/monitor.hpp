@@ -1,7 +1,6 @@
 #pragma once
 
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "availsim/net/network.hpp"
@@ -76,7 +75,7 @@ class Monitor {
   bool running_ = false;
   std::uint64_t epoch_ = 0;
   std::vector<net::NodeId> targets_;
-  std::unordered_map<net::NodeId, State> state_;
+  std::vector<State> state_;  // by NodeId; a node never probed reads up
 };
 
 }  // namespace availsim::frontend

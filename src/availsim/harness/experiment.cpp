@@ -1,7 +1,6 @@
 #include "availsim/harness/experiment.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 
 #include "availsim/harness/campaign.hpp"
@@ -189,28 +188,6 @@ std::vector<Characterization> characterize(
     c.progress += line;
   }
   return out;
-}
-
-double simulate_expected_load(const TestbedOptions& options, sim::Time horizon,
-                              bool serialize) {
-  sim::Simulator sim;
-  TestbedOptions opts = options;
-  opts.trace_label += "-expload";
-  Testbed tb(sim, opts);
-  sim::Rng rng(options.seed ^ 0xFA11);
-  fault::FaultInjector injector(sim, tb, rng.fork(3));
-  tb.start();
-  sim.run_until(options.warmup);
-  injector.run_expected_load(tb.fault_load(), serialize,
-                             options.warmup + horizon);
-  sim.run_until(options.warmup + horizon);
-  const double availability =
-      tb.recorder().availability(options.warmup, options.warmup + horizon);
-  // NaN means zero requests were offered in the window — a broken workload
-  // wiring or a degenerate horizon, never a perfectly available service.
-  // Report total unavailability so the validation benches fail loudly
-  // instead of folding an empty window into a perfect score.
-  return std::isnan(availability) ? 0.0 : availability;
 }
 
 }  // namespace availsim::harness

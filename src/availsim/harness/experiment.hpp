@@ -75,10 +75,4 @@ std::vector<Characterization> characterize(
     const std::vector<TestbedOptions>& configs, int jobs,
     const Phase1Options& phase1 = {});
 
-/// Directly simulates the expected fault load for `horizon` and returns
-/// measured availability — the end-to-end validation of the Phase-2
-/// analytic model.
-double simulate_expected_load(const TestbedOptions& options,
-                              sim::Time horizon, bool serialize = true);
-
 }  // namespace availsim::harness

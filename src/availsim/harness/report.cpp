@@ -19,16 +19,6 @@ std::string format_availability_percent(double availability) {
   return buf;
 }
 
-void print_model_row(std::ostream& os, const std::string& name,
-                     const model::SystemModel& model) {
-  char buf[160];
-  std::snprintf(buf, sizeof(buf), "%-12s  unavail=%s  avail=%s  AT=%.1f req/s",
-                name.c_str(), format_unavailability(model.unavailability()).c_str(),
-                format_availability_percent(model.availability()).c_str(),
-                model.average_throughput());
-  os << buf << "\n";
-}
-
 void print_breakdown_header(std::ostream& os) {
   char buf[200];
   std::snprintf(buf, sizeof(buf),

@@ -13,10 +13,6 @@ namespace availsim::harness {
 std::string format_unavailability(double u);
 std::string format_availability_percent(double availability);
 
-/// Prints "<name>  unavailability  availability  avg-throughput" rows.
-void print_model_row(std::ostream& os, const std::string& name,
-                     const model::SystemModel& model);
-
 /// Prints the per-fault-type unavailability breakdown of a configuration
 /// (one stacked bar of the paper's Figure 7/9/10).
 void print_breakdown(std::ostream& os, const std::string& name,

@@ -6,7 +6,7 @@
 #include <fstream>
 #include <utility>
 
-#include "availsim/sim/flat.hpp"
+#include "availsim/sim/node_set.hpp"
 
 namespace availsim::harness {
 
@@ -562,7 +562,7 @@ void Testbed::arm_offline_watcher() {
 
 bool Testbed::splintered() const {
   if (!cooperative()) return false;
-  sim::FlatSet<net::NodeId> live;
+  sim::NodeSet live;
   for (const auto& s : servers_) {
     if (s.host->state() == net::Host::State::kUp && s.press->process_up() &&
         !s.press->hung()) {

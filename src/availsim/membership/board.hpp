@@ -1,10 +1,10 @@
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
-#include <vector>
+#include <utility>
 
 #include "availsim/net/packet.hpp"
+#include "availsim/sim/node_set.hpp"
 
 namespace availsim::membership {
 
@@ -14,16 +14,11 @@ namespace availsim::membership {
 class MembershipBoard {
  public:
   std::uint64_t version() const { return version_; }
-  const std::vector<net::NodeId>& members() const { return members_; }
+  const sim::NodeSet& members() const { return members_; }
+  bool contains(net::NodeId node) const { return members_.contains(node); }
 
-  bool contains(net::NodeId node) const {
-    return std::find(members_.begin(), members_.end(), node) !=
-           members_.end();
-  }
-
-  /// Daemon-side: publishes a new view (members are stored sorted).
-  void publish(std::vector<net::NodeId> members) {
-    std::sort(members.begin(), members.end());
+  /// Daemon-side: publishes a view; only a changed view bumps the version.
+  void publish(sim::NodeSet members) {
     if (members == members_) return;
     members_ = std::move(members);
     ++version_;
@@ -31,7 +26,7 @@ class MembershipBoard {
 
  private:
   std::uint64_t version_ = 0;
-  std::vector<net::NodeId> members_;
+  sim::NodeSet members_;
 };
 
 }  // namespace availsim::membership

@@ -1,5 +1,7 @@
 #include "availsim/membership/client_lib.hpp"
 
+#include <utility>
+
 namespace availsim::membership {
 
 MembershipClient::MembershipClient(sim::Simulator& simulator,
@@ -33,8 +35,8 @@ void MembershipClient::arm() {
 void MembershipClient::poll() {
   if (board_.version() == seen_version_ && seen_version_ != 0) return;
   seen_version_ = board_.version();
-  std::set<net::NodeId> current(board_.members().begin(),
-                                board_.members().end());
+  // A copy: a callback can publish a new view (through a NodeDown report).
+  sim::NodeSet current = board_.members();
   for (net::NodeId n : current) {
     if (!seen_members_.contains(n) && on_node_in) on_node_in(n);
   }

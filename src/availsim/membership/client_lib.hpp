@@ -1,9 +1,9 @@
 #pragma once
 
 #include <functional>
-#include <set>
 
 #include "availsim/membership/board.hpp"
+#include "availsim/sim/node_set.hpp"
 #include "availsim/sim/simulator.hpp"
 
 namespace availsim::membership {
@@ -45,7 +45,7 @@ class MembershipClient {
   bool running_ = false;
   std::uint64_t epoch_ = 0;
   std::uint64_t seen_version_ = 0;
-  std::set<net::NodeId> seen_members_;
+  sim::NodeSet seen_members_;
 };
 
 }  // namespace availsim::membership

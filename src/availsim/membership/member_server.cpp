@@ -12,13 +12,6 @@ constexpr std::size_t kSmallMsg = 96;
 
 using trace::Category;
 using trace::Kind;
-
-template <typename Members>
-std::uint64_t view_mask(const Members& members) {
-  std::uint64_t mask = 0;
-  for (net::NodeId m : members) mask |= trace::node_bit(m);
-  return mask;
-}
 }  // namespace
 
 MemberServer::MemberServer(sim::Simulator& simulator,
@@ -86,7 +79,7 @@ void MemberServer::on_host_crashed() {
 }
 
 void MemberServer::publish() {
-  board_.publish({view_.begin(), view_.end()});
+  board_.publish(view_);
 }
 
 void MemberServer::send_unicast(net::NodeId dst, MemberMsg msg) {
@@ -129,12 +122,8 @@ void MemberServer::on_packet(const net::Packet& packet) {
 std::vector<net::NodeId> MemberServer::neighbours() const {
   std::vector<net::NodeId> out;
   if (view_.size() < 2) return out;
-  std::vector<net::NodeId> ring(view_.begin(), view_.end());
-  auto it = std::find(ring.begin(), ring.end(), id());
-  const std::size_t i = static_cast<std::size_t>(it - ring.begin());
-  const std::size_t n = ring.size();
-  out.push_back(ring[(i + 1) % n]);  // downstream
-  if (n > 2) out.push_back(ring[(i + n - 1) % n]);  // upstream
+  out.push_back(view_.after(id()));  // downstream
+  if (view_.size() > 2) out.push_back(view_.before(id()));  // upstream
   return out;
 }
 
@@ -219,7 +208,7 @@ void MemberServer::handle_heartbeat(const MHeartbeat& msg) {
 // ---------------------------------------------------------------------------
 
 void MemberServer::coordinate_change(bool add, net::NodeId subject,
-                                     std::vector<net::NodeId> extra) {
+                                     sim::NodeSet extra) {
   if (!add && !view_.contains(subject)) return;
   if (add && view_.contains(subject) && extra.empty()) return;
   const std::uint64_t change_id =
@@ -231,8 +220,7 @@ void MemberServer::coordinate_change(bool add, net::NodeId subject,
   change.proposer = id();
   change.change_id = change_id;
   change.extra = std::move(extra);
-  Proposal& prop = proposals_[change_id];
-  prop.change = change;
+  proposals_.insert(change_id, Proposal{change, {}, false});
   if (!add) removing_.insert(subject);
 
   bool have_voters = false;
@@ -256,16 +244,16 @@ void MemberServer::arm_proposal_timer(std::uint64_t change_id, int attempt) {
   const sim::Time wait = p_.ack_timeout << attempt;
   sim_.schedule_after(wait, [this, e = epoch_, change_id, attempt] {
     if (epoch_ != e || !running_) return;
-    auto it = proposals_.find(change_id);
-    if (it == proposals_.end() || it->second.done) return;
+    const Proposal* prop = proposals_.find(change_id);
+    if (prop == nullptr || prop->done) return;
     if (!p_.hardened || attempt >= p_.propose_retries) {
       finish_proposal(change_id);
       return;
     }
     for (net::NodeId m : view_) {
-      if (m == id() || m == it->second.change.subject) continue;
-      if (it->second.acks.contains(m)) continue;
-      send_unicast(m, MemberMsg{it->second.change});
+      if (m == id() || m == prop->change.subject) continue;
+      if (prop->acks.contains(m)) continue;
+      send_unicast(m, MemberMsg{prop->change});
     }
     arm_proposal_timer(change_id, attempt + 1);
   });
@@ -280,32 +268,29 @@ void MemberServer::handle_propose(const ProposeChange& msg, net::NodeId from) {
 }
 
 void MemberServer::handle_ack(const AckChange& msg) {
-  auto it = proposals_.find(msg.change_id);
-  if (it == proposals_.end() || it->second.done) return;
-  it->second.acks.insert(msg.from);
+  Proposal* prop = proposals_.find(msg.change_id);
+  if (prop == nullptr || prop->done) return;
+  prop->acks.insert(msg.from);
   // Commit as soon as every other live member acked.
   std::size_t voters = 0;
   for (net::NodeId m : view_) {
-    if (m != id() && m != it->second.change.subject) ++voters;
+    if (m != id() && m != prop->change.subject) ++voters;
   }
-  if (it->second.acks.size() >= voters) finish_proposal(msg.change_id);
+  if (prop->acks.size() >= voters) finish_proposal(msg.change_id);
 }
 
 void MemberServer::finish_proposal(std::uint64_t change_id) {
-  auto it = proposals_.find(change_id);
-  if (it == proposals_.end() || it->second.done) return;
-  it->second.done = true;
-  const ProposeChange& change = it->second.change;
+  Proposal* prop = proposals_.find(change_id);
+  if (prop == nullptr || prop->done) return;
+  prop->done = true;
+  const ProposeChange& change = prop->change;
 
-  std::vector<net::NodeId> new_view(view_.begin(), view_.end());
+  sim::NodeSet new_view = view_;
   if (change.add) {
-    new_view.push_back(change.subject);
-    for (net::NodeId n : change.extra) new_view.push_back(n);
-    std::sort(new_view.begin(), new_view.end());
-    new_view.erase(std::unique(new_view.begin(), new_view.end()),
-                   new_view.end());
+    new_view.insert(change.subject);
+    for (net::NodeId n : change.extra) new_view.insert(n);
   } else {
-    std::erase(new_view, change.subject);
+    new_view.erase(change.subject);
   }
 
   CommitChange commit;
@@ -329,17 +314,13 @@ void MemberServer::handle_commit(const CommitChange& msg,
   // group's coordinator committing a view that *includes us* is the
   // re-admission path.
   const bool trusted = coordinator == id() || view_.contains(coordinator);
-  const bool readmission =
-      msg.add && std::find(msg.new_view.begin(), msg.new_view.end(), id()) !=
-                     msg.new_view.end();
-  if (!trusted && !readmission) return;
+  const bool includes_us = msg.new_view.contains(id());
+  if (!trusted && !(msg.add && includes_us)) return;  // not a readmission
   trace::emit(sim_, Category::kMembership, Kind::kMemCommit, id(),
               static_cast<std::int64_t>(msg.change_id),
-              static_cast<std::int64_t>(view_mask(msg.new_view)),
-              msg.add ? 1 : 0);
+              static_cast<std::int64_t>(msg.new_view.mask()), msg.add ? 1 : 0);
   if (!msg.add) removing_.erase(msg.subject);
-  if (std::find(msg.new_view.begin(), msg.new_view.end(), id()) ==
-      msg.new_view.end()) {
+  if (!includes_us) {
     // The group removed us (e.g. an application-level NodeDown report while
     // our daemon was healthy). Fall back to a singleton group; the periodic
     // announcements will merge us back once we are really healthy.
@@ -351,14 +332,13 @@ void MemberServer::handle_commit(const CommitChange& msg,
   mark(msg.add ? "member_added" : "member_removed", msg.subject);
 }
 
-void MemberServer::install_view(std::vector<net::NodeId> members) {
-  view_.clear();
-  view_.insert(members.begin(), members.end());
+void MemberServer::install_view(const sim::NodeSet& members) {
+  view_ = members;
   view_.insert(id());
   ++view_version_;
   joined_ = true;
   trace::emit(sim_, Category::kMembership, Kind::kMemViewInstall, id(),
-              static_cast<std::int64_t>(view_mask(view_)), view_version_);
+              static_cast<std::int64_t>(view_.mask()), view_version_);
   // Grace: don't instantly suspect new neighbours.
   for (net::NodeId nb : neighbours()) heard(nb).last_seen = sim_.now();
   publish();
@@ -378,7 +358,7 @@ void MemberServer::handle_join_request(const JoinRequest& msg) {
     refresh.add = true;
     refresh.subject = msg.joiner;
     refresh.change_id = 0;
-    refresh.new_view.assign(view_.begin(), view_.end());
+    refresh.new_view = view_;
     send_unicast(msg.joiner, MemberMsg{refresh});
     return;
   }
@@ -394,7 +374,7 @@ void MemberServer::arm_announce_timer() {
     if (host_ok()) {
       AliveAnnounce alive;
       alive.from = id();
-      alive.members.assign(view_.begin(), view_.end());
+      alive.members = view_;
       send_multicast(MemberMsg{std::move(alive)});
     }
     arm_announce_timer();
@@ -410,12 +390,12 @@ void MemberServer::handle_alive(const AliveAnnounce& msg) {
     // apply them in different orders. The lowest-id member repairs the
     // announcer.
     if (id() != *view_.begin()) return;
-    std::set<net::NodeId> theirs(msg.members.begin(), msg.members.end());
+    sim::NodeSet theirs = msg.members;
     theirs.insert(msg.from);
     if (theirs == view_) return;
-    std::vector<net::NodeId> extra;
+    sim::NodeSet extra;
     for (net::NodeId m : theirs) {
-      if (!view_.contains(m)) extra.push_back(m);
+      if (!view_.contains(m)) extra.insert(m);
     }
     trace::emit(sim_, Category::kMembership, Kind::kMemMerge, id(), msg.from);
     mark("anti_entropy", msg.from);
@@ -426,7 +406,7 @@ void MemberServer::handle_alive(const AliveAnnounce& msg) {
       refresh.add = true;
       refresh.subject = msg.from;
       refresh.change_id = 0;
-      refresh.new_view.assign(view_.begin(), view_.end());
+      refresh.new_view = view_;
       send_unicast(msg.from, MemberMsg{refresh});
     } else {
       // They hold members we lack: 2PC the union — the commit reaches the
@@ -439,9 +419,9 @@ void MemberServer::handle_alive(const AliveAnnounce& msg) {
   // A daemon we can hear is not in our group: the groups should merge.
   // Our lowest-id member coordinates the union.
   if (id() != *view_.begin()) return;
-  std::vector<net::NodeId> extra;
+  sim::NodeSet extra;
   for (net::NodeId m : msg.members) {
-    if (!view_.contains(m) && m != msg.from) extra.push_back(m);
+    if (!view_.contains(m) && m != msg.from) extra.insert(m);
   }
   trace::emit(sim_, Category::kMembership, Kind::kMemMerge, id(), msg.from);
   mark("merge", msg.from);

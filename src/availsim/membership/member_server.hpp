@@ -2,13 +2,13 @@
 
 #include <cstdint>
 #include <functional>
-#include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "availsim/membership/board.hpp"
 #include "availsim/membership/messages.hpp"
 #include "availsim/net/network.hpp"
+#include "availsim/sim/id_ring.hpp"
+#include "availsim/sim/node_set.hpp"
 #include "availsim/sim/rng.hpp"
 
 namespace availsim::membership {
@@ -69,7 +69,7 @@ class MemberServer {
   /// even though the daemon-level ring may disagree; the group removes it.
   void node_down_report(net::NodeId node);
 
-  const std::set<net::NodeId>& view() const { return view_; }
+  const sim::NodeSet& view() const { return view_; }
   bool running() const { return running_; }
 
   std::function<void(const char* marker, net::NodeId about)> on_marker;
@@ -95,11 +95,10 @@ class MemberServer {
   sim::Time suspect_deadline(net::NodeId neighbour) const;
   std::vector<net::NodeId> neighbours() const;
 
-  void coordinate_change(bool add, net::NodeId subject,
-                         std::vector<net::NodeId> extra);
+  void coordinate_change(bool add, net::NodeId subject, sim::NodeSet extra);
   void arm_proposal_timer(std::uint64_t change_id, int attempt);
   void finish_proposal(std::uint64_t change_id);
-  void install_view(std::vector<net::NodeId> members);
+  void install_view(const sim::NodeSet& members);
   void publish();
   void send_unicast(net::NodeId dst, MemberMsg msg);
   void send_multicast(MemberMsg msg);
@@ -113,7 +112,7 @@ class MemberServer {
 
   bool running_ = false;
   std::uint64_t epoch_ = 0;
-  std::set<net::NodeId> view_;
+  sim::NodeSet view_;
   std::uint64_t view_version_ = 0;
   /// Heartbeat state for one peer.
   struct Heard {
@@ -133,13 +132,13 @@ class MemberServer {
 
   struct Proposal {
     ProposeChange change;
-    std::set<net::NodeId> acks;
+    sim::NodeSet acks;
     bool done = false;
   };
-  std::unordered_map<std::uint64_t, Proposal> proposals_;
+  sim::IdRing<Proposal> proposals_;  // by change id
   std::uint64_t next_change_ = 1;
   // Subjects with an in-flight removal, to avoid proposal storms.
-  std::set<net::NodeId> removing_;
+  sim::NodeSet removing_;
 };
 
 }  // namespace availsim::membership

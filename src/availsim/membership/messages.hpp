@@ -2,9 +2,9 @@
 
 #include <cstdint>
 #include <variant>
-#include <vector>
 
 #include "availsim/net/packet.hpp"
+#include "availsim/sim/node_set.hpp"
 
 namespace availsim::membership {
 
@@ -23,7 +23,7 @@ struct ProposeChange {
   net::NodeId subject = net::kNoNode;
   net::NodeId proposer = net::kNoNode;
   std::uint64_t change_id = 0;
-  std::vector<net::NodeId> extra;  // group-merge: subject's group mates
+  sim::NodeSet extra;  // group-merge: subject's group mates
 };
 
 struct AckChange {
@@ -35,7 +35,7 @@ struct CommitChange {
   bool add = false;
   net::NodeId subject = net::kNoNode;
   std::uint64_t change_id = 0;
-  std::vector<net::NodeId> new_view;
+  sim::NodeSet new_view;
 };
 
 /// Multicast to the well-known group address by a starting daemon.
@@ -43,21 +43,16 @@ struct JoinRequest {
   net::NodeId joiner = net::kNoNode;
 };
 
-struct JoinReply {
-  net::NodeId responder = net::kNoNode;
-  std::vector<net::NodeId> members;
-};
-
 /// Periodic multicast used to re-merge partitioned sub-groups after the
 /// network heals.
 struct AliveAnnounce {
   net::NodeId from = net::kNoNode;
-  std::vector<net::NodeId> members;
+  sim::NodeSet members;
 };
 
 struct MemberMsg {
   std::variant<MHeartbeat, ProposeChange, AckChange, CommitChange, JoinRequest,
-               JoinReply, AliveAnnounce>
+               AliveAnnounce>
       msg;
 };
 

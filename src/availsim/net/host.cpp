@@ -1,5 +1,6 @@
 #include "availsim/net/host.hpp"
 
+#include <cassert>
 #include <utility>
 
 namespace availsim::net {
@@ -8,12 +9,20 @@ Host::Host(sim::Simulator& simulator, NodeId id, std::string name)
     : sim_(simulator), id_(id), name_(std::move(name)) {}
 
 void Host::bind(int port, Handler handler) {
-  ports_[port] = std::move(handler);
+  assert(port >= 0);
+  const auto p = static_cast<std::size_t>(port);
+  if (p >= ports_.size()) ports_.resize(p + 1);
+  ports_[p] = std::move(handler);
 }
 
-void Host::unbind(int port) { ports_.erase(port); }
+void Host::unbind(int port) {
+  if (has_port(port)) ports_[static_cast<std::size_t>(port)] = nullptr;
+}
 
-bool Host::has_port(int port) const { return ports_.contains(port); }
+bool Host::has_port(int port) const {
+  return port >= 0 && static_cast<std::size_t>(port) < ports_.size() &&
+         ports_[static_cast<std::size_t>(port)] != nullptr;
+}
 
 bool Host::deliver(const Packet& packet) {
   switch (state_) {
@@ -27,9 +36,8 @@ bool Host::deliver(const Packet& packet) {
     case State::kUp:
       break;
   }
-  auto it = ports_.find(packet.port);
-  if (it == ports_.end()) return false;
-  it->second(packet);
+  if (!has_port(packet.port)) return false;
+  ports_[static_cast<std::size_t>(packet.port)](packet);
   return true;
 }
 
@@ -61,15 +69,11 @@ void Host::unfreeze() {
 void Host::crash() {
   state_ = State::kDown;
   parked_.clear();
-  ports_.clear();
+  for (Handler& h : ports_) h = nullptr;
 }
 
 void Host::reboot() {
   if (state_ == State::kDown) state_ = State::kUp;
-}
-
-void Host::drop_parked_for_port(int port) {
-  std::erase_if(parked_, [port](const Packet& p) { return p.port == port; });
 }
 
 }  // namespace availsim::net

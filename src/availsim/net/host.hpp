@@ -3,7 +3,7 @@
 #include <deque>
 #include <functional>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "availsim/net/packet.hpp"
 #include "availsim/sim/simulator.hpp"
@@ -40,8 +40,8 @@ class Host {
   double slow_factor() const { return slow_factor_; }
   bool limping() const { return slow_factor_ > 1.0; }
 
-  /// Registers `handler` for packets addressed to `port`. Overwrites any
-  /// previous binding (a restarted process re-binds its ports).
+  /// Registers `handler` for packets addressed to `port` (>= 0). Overwrites
+  /// any previous binding (a restarted process re-binds its ports).
   void bind(int port, Handler handler);
   void unbind(int port);
   bool has_port(int port) const;
@@ -67,17 +67,18 @@ class Host {
   /// Reboot after a crash: host is up, but processes must re-bind.
   void reboot();
 
-  /// Called when a process on this host crashes or is killed; parked
-  /// packets destined for its ports are discarded.
-  void drop_parked_for_port(int port);
-
  private:
   sim::Simulator& sim_;
   NodeId id_;
   std::string name_;
   State state_ = State::kUp;
   double slow_factor_ = 1.0;
-  std::unordered_map<int, Handler> ports_;
+  // By port; an empty handler is an unbound port. Only bind() grows the
+  // table, and growing it moves every handler in it: a bind() from inside a
+  // delivered packet's handler would move the running handler. None does
+  // today: every bind() runs at process start or restart, from its own
+  // event.
+  std::vector<Handler> ports_;
   std::deque<Packet> parked_;
 };
 

@@ -229,10 +229,10 @@ void Network::deliver(const Packet& packet, RefusalId refusal) {
 }
 
 void Network::ping_reply(std::uint64_t id, bool ok) {
-  auto it = pings_.find(id);
-  if (it == pings_.end()) return;  // already answered (or timed out)
-  PingCallback cb = std::move(it->second);
-  pings_.erase(it);
+  PingCallback* pending = pings_.find(id);
+  if (pending == nullptr) return;  // already answered (or timed out)
+  PingCallback cb = std::move(*pending);
+  pings_.erase(id);
   cb(ok);
 }
 
@@ -241,8 +241,8 @@ void Network::ping(NodeId src, NodeId dst, sim::Time timeout, PingCallback cb) {
   // The callback lives in pings_ under a fresh id; the echo and timeout
   // closures capture only the id, so whichever fires first resolves the
   // ping and the other is a no-op.
-  const std::uint64_t id = next_ping_id_++;
-  pings_.emplace(id, std::move(cb));
+  const std::uint64_t id = pings_.end_id();
+  pings_.insert(id, std::move(cb));
   const sim::Time rtt = 2 * params_.base_latency + 2 * tx_time(64);
 
   // Echo request arrives one latency out; the reply needs the reverse path
@@ -265,11 +265,6 @@ void Network::ping(NodeId src, NodeId dst, sim::Time timeout, PingCallback cb) {
 }
 
 void Network::multicast_join(int group, NodeId id) { groups_[group].insert(id); }
-
-void Network::multicast_leave(int group, NodeId id) {
-  auto it = groups_.find(group);
-  if (it != groups_.end()) it->second.erase(id);
-}
 
 void Network::multicast(NodeId src, int group, int port, std::size_t bytes,
                         std::shared_ptr<const void> body) {

@@ -4,12 +4,13 @@
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
 #include "availsim/net/host.hpp"
 #include "availsim/net/packet.hpp"
+#include "availsim/sim/id_ring.hpp"
+#include "availsim/sim/node_set.hpp"
 #include "availsim/sim/rng.hpp"
 #include "availsim/sim/simulator.hpp"
 
@@ -94,7 +95,6 @@ class Network {
   /// IP multicast: delivered (datagram semantics) to every subscribed,
   /// reachable host except the sender.
   void multicast_join(int group, NodeId id);
-  void multicast_leave(int group, NodeId id);
   void multicast(NodeId src, int group, int port, std::size_t bytes,
                  std::shared_ptr<const void> body);
 
@@ -102,7 +102,6 @@ class Network {
   void set_link_up(NodeId id, bool up);
   void set_switch_up(bool up);
   bool link_up(NodeId id) const;
-  bool switch_up() const { return switch_up_; }
 
   /// --- gray-fault hooks ---
   /// Lossy link: the link stays up but drops/delays packets.
@@ -201,11 +200,10 @@ class Network {
   // Ordered on purpose: multicast iterates members and each transmit draws
   // RNG jitter, so the iteration order is part of the event schedule — it
   // must be canonical, not hash order.
-  std::map<int, std::set<NodeId>> groups_;
+  std::map<int, sim::NodeSet> groups_;
   // Outstanding pings by id; the echo/timeout closures capture only the id,
   // so whichever fires second finds the ping gone.
-  std::map<std::uint64_t, PingCallback> pings_;
-  std::uint64_t next_ping_id_ = 1;
+  sim::IdRing<PingCallback> pings_;
   // Reliable sends waiting for their path, oldest first.
   std::vector<Parked> parked_;
   // Refusal callbacks of reliable sends in flight or parked, by RefusalId.

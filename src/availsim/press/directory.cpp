@@ -146,7 +146,7 @@ void Directory::install_snapshot(net::NodeId node,
 }
 
 std::optional<net::NodeId> Directory::best_service_node(
-    workload::FileId file, const sim::FlatSet<net::NodeId>& coop) const {
+    workload::FileId file, const sim::NodeSet& coop) const {
   std::optional<net::NodeId> best;
   int best_load = 0;
   for_each_replica(file, [&](net::NodeId n) {

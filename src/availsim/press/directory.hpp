@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "availsim/net/packet.hpp"
-#include "availsim/sim/flat.hpp"
+#include "availsim/sim/node_set.hpp"
 #include "availsim/workload/fileset.hpp"
 
 namespace availsim::press {
@@ -34,7 +34,7 @@ class Directory {
   /// The least-loaded member of `coop` believed to cache `file`; nullopt
   /// when no cooperating peer caches it.
   std::optional<net::NodeId> best_service_node(
-      workload::FileId file, const sim::FlatSet<net::NodeId>& coop) const;
+      workload::FileId file, const sim::NodeSet& coop) const;
 
   bool node_caches_file(net::NodeId node, workload::FileId file) const;
   std::size_t files_known_for(net::NodeId node) const;

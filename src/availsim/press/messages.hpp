@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "availsim/net/packet.hpp"
+#include "availsim/sim/node_set.hpp"
 #include "availsim/workload/fileset.hpp"
 
 namespace availsim::press {
@@ -70,7 +71,7 @@ struct RejoinRequest {
 
 /// Sent by the lowest-id active member: current cluster configuration.
 struct RejoinReply {
-  std::vector<net::NodeId> members;
+  sim::NodeSet members;
 };
 
 /// Announcement from the joiner to each member, answered with that

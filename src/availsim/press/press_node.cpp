@@ -26,12 +26,6 @@ bool main_loop_port(int port) {
 }
 }  // namespace
 
-std::uint64_t PressNode::coop_mask() const {
-  std::uint64_t mask = 0;
-  for (net::NodeId n : coop_) mask |= trace::node_bit(n);
-  return mask;
-}
-
 PressNode::PressNode(sim::Simulator& simulator, net::Network& cluster_net,
                      net::Network& client_net, net::Host& host, sim::Rng rng,
                      PressParams params, workload::FileSet files,
@@ -104,7 +98,7 @@ void PressNode::start(bool prewarm) {
   }
   if (prewarm) prewarm_cache();
   trace::emit(sim_, Category::kPress, Kind::kPressStart, id(),
-              static_cast<std::int64_t>(coop_mask()));
+              static_cast<std::int64_t>(coop_.mask()));
   mark("start");
 }
 
@@ -371,7 +365,7 @@ void PressNode::insert_cache_and_broadcast(workload::FileId file) {
   const auto eviction =
       evicted ? net::make_body<CacheUpdate>(CacheUpdate{*evicted, false, load()})
               : nullptr;
-  // Broadcast in node-id order (FlatSet iteration order): the send order
+  // Broadcast in node-id order (NodeSet iteration order): the send order
   // schedules delivery events, so it must be layout-independent.
   for (net::NodeId peer : coop_) {
     if (peer == id()) continue;
@@ -460,8 +454,8 @@ qmon::SelfMonitoringQueue::PushResult PressNode::push_forward(
   trace::emit(sim_, Category::kQmon, Kind::kQueuePush, id(), peer,
               static_cast<std::int64_t>(q.queued_requests()),
               static_cast<std::int64_t>(q.queued_total()));
-  forwards_[fid] =
-      PendingForward{request, peer, sim_.now() + p_.request_shed_age};
+  forwards_.insert(
+      fid, PendingForward{request, peer, sim_.now() + p_.request_shed_age});
   if (q.over_fail_threshold()) {
     qmon_fail(peer);
   } else {
@@ -474,7 +468,7 @@ void PressNode::reroute(const workload::HttpRequest& request,
                         net::NodeId avoid) {
   // "Most requests destined for the overloaded queue are rerouted to other
   // cooperative peers or the disk queue."
-  sim::FlatSet<net::NodeId> others = coop_;
+  sim::NodeSet others = coop_;
   others.erase(avoid);
   others.erase(id());
   auto alt = dir_.best_service_node(request.file, others);
@@ -544,10 +538,10 @@ void PressNode::on_forward_reply(const net::Packet& packet) {
   const auto msg = net::body_as<ForwardReply>(packet);
   dir_.set_load(packet.src, msg.load);
   if (auto& q = peer_state(packet.src).sendq) q->complete(msg.forward_id);
-  auto it = forwards_.find(msg.forward_id);
-  if (it == forwards_.end()) return;  // purged during an exclusion
-  const workload::HttpRequest request = it->second.request;
-  forwards_.erase(it);
+  const PendingForward* f = forwards_.find(msg.forward_id);
+  if (f == nullptr) return;  // purged during an exclusion
+  const workload::HttpRequest request = f->request;
+  forwards_.erase(msg.forward_id);
   ++stats_.forward_replies;
   if (msg.success) {
     schedule_cpu(p_.cpu_relay_reply,
@@ -627,10 +621,10 @@ void PressNode::on_forward_refused(net::NodeId peer, std::uint64_t forward_id) {
     q->complete(forward_id);
     pump_queue(peer);
   }
-  auto it = forwards_.find(forward_id);
-  if (it == forwards_.end()) return;
-  const workload::HttpRequest request = it->second.request;
-  forwards_.erase(it);
+  const PendingForward* f = forwards_.find(forward_id);
+  if (f == nullptr) return;
+  const workload::HttpRequest request = f->request;
+  forwards_.erase(forward_id);
   ++stats_.forward_failures;
   if (report_node_down) report_node_down(peer);
   // Fall back to serving the request ourselves.
@@ -646,9 +640,7 @@ void PressNode::on_forward_refused(net::NodeId peer, std::uint64_t forward_id) {
 
 void PressNode::fail_forward_ids(const std::vector<std::uint64_t>& ids) {
   for (std::uint64_t fid : ids) {
-    auto it = forwards_.find(fid);
-    if (it == forwards_.end()) continue;
-    forwards_.erase(it);
+    if (!forwards_.erase(fid)) continue;
     --active_requests_;
     ++stats_.forward_failures;
   }
@@ -722,7 +714,7 @@ void PressNode::send_heartbeat() {
   if (p_.membership != PressParams::Membership::kInternalRing) return;
   if (!helper_ok() || coop_.size() < 2) return;
   if (!main_ok() && sim_.now() - last_progress_ > p_.heartbeat_period) return;
-  send_control(ring_successor(), net::ports::kPressHeartbeat,
+  send_control(coop_.after(id()), net::ports::kPressHeartbeat,
                net::make_body<Heartbeat>(Heartbeat{id(), load()}),
                wire::kHeartbeat, /*reliable=*/false);
 }
@@ -740,7 +732,7 @@ void PressNode::arm_monitor_timer() {
 
 void PressNode::check_predecessor() {
   if (coop_.size() < 2) return;
-  const net::NodeId pred = ring_predecessor();
+  const net::NodeId pred = coop_.before(id());
   sim::Time& seen = peer_state(pred).last_heartbeat;
   if (seen == Peer::kNever) {
     seen = sim_.now();  // grace period for a new neighbour
@@ -754,28 +746,12 @@ void PressNode::check_predecessor() {
   }
 }
 
-net::NodeId PressNode::ring_successor() const {
-  // coop_ is already in ascending node-id order.
-  const std::vector<net::NodeId>& ring = coop_.values();
-  auto it = std::find(ring.begin(), ring.end(), id());
-  assert(it != ring.end());
-  ++it;
-  return it == ring.end() ? ring.front() : *it;
-}
-
-net::NodeId PressNode::ring_predecessor() const {
-  const std::vector<net::NodeId>& ring = coop_.values();
-  auto it = std::find(ring.begin(), ring.end(), id());
-  assert(it != ring.end());
-  return it == ring.begin() ? ring.back() : *std::prev(it);
-}
-
 void PressNode::initiate_exclusion(net::NodeId target) {
   trace::emit(sim_, Category::kPress, Kind::kPressDetect, id(), target);
   mark("detect_failure", target);
   // Tell everyone, including the target: if the target is actually alive
   // (a violated fault model), it will process its own exclusion later and
-  // splinter off as a singleton sub-cluster.  Node-id order (FlatSet
+  // splinter off as a singleton sub-cluster.  Node-id order (NodeSet
   // iteration) keeps the event schedule layout-independent.
   for (net::NodeId peer : coop_) {
     if (peer == id()) continue;
@@ -805,7 +781,7 @@ void PressNode::exclude_node(net::NodeId target) {
     coop_.clear();
     coop_.insert(id());
     trace::emit(sim_, Category::kPress, Kind::kPressSelfExclude, id(), 0,
-                static_cast<std::int64_t>(coop_mask()));
+                static_cast<std::int64_t>(coop_.mask()));
     dir_ = Directory{};
     if (blocked_) try_unblock();
     return;
@@ -813,7 +789,7 @@ void PressNode::exclude_node(net::NodeId target) {
   if (!coop_.erase(target)) return;
   ++stats_.exclusions;
   trace::emit(sim_, Category::kPress, Kind::kPressExclude, id(), target,
-              static_cast<std::int64_t>(coop_mask()));
+              static_cast<std::int64_t>(coop_.mask()));
   mark("exclude", target);
   dir_.remove_node(target);
   Peer& gone = peer_state(target);
@@ -828,7 +804,7 @@ void PressNode::exclude_node(net::NodeId target) {
 
 void PressNode::reset_heartbeat_grace() {
   if (coop_.size() < 2) return;
-  const net::NodeId pred = ring_predecessor();
+  const net::NodeId pred = coop_.before(id());
   peer_state(pred).last_heartbeat = sim_.now();
   trace::emit(sim_, Category::kPress, Kind::kPressHbSeen, id(), pred);
 }
@@ -840,20 +816,17 @@ void PressNode::arm_forward_sweeper() {
   // recycle slots — the stall semantics of base PRESS stay intact.
   sim_.schedule_after(sim::kSecond, [this, e = epoch_] {
     if (epoch_ != e || !process_up_) return;
-    if (main_ok() && !forwards_.empty()) {
-      // availlint: ordered-ok(erase-expired sweep; commutative erases+counters)
-      for (auto it = forwards_.begin(); it != forwards_.end();) {
-        if (sim_.now() > it->second.deadline) {
-          --active_requests_;
-          ++stats_.forward_failures;
-          if (auto& q = peer_state(it->second.peer).sendq) {
-            q->complete(it->first);  // stop the service-age clock
-          }
-          it = forwards_.erase(it);
-        } else {
-          ++it;
-        }
+    // Deadlines grow with the forward id: the expired forwards are a
+    // prefix of the ring, retired oldest first.
+    while (main_ok() && !forwards_.empty() &&
+           sim_.now() > forwards_.front().deadline) {
+      const std::uint64_t fid = forwards_.front_id();
+      if (auto& q = peer_state(forwards_.front().peer).sendq) {
+        q->complete(fid);  // stop the service-age clock
       }
+      forwards_.erase(fid);
+      --active_requests_;
+      ++stats_.forward_failures;
     }
     arm_forward_sweeper();
   });
@@ -884,9 +857,9 @@ void PressNode::handle_rejoin_request(const RejoinRequest& msg) {
   if (p_.membership != PressParams::Membership::kInternalRing) return;
   if (msg.joiner == id()) return;
   // "The currently active node with lowest node ID responds."
-  if (id() != *std::min_element(coop_.begin(), coop_.end())) return;
+  if (id() != *coop_.begin()) return;
   RejoinReply reply;
-  reply.members = coop_.values();  // already ascending
+  reply.members = coop_;
   send_control(msg.joiner, net::ports::kPressControl,
                net::make_body<ControlMsg>(ControlMsg{std::move(reply)}),
                wire::kControl, /*reliable=*/true);
@@ -905,7 +878,7 @@ void PressNode::handle_rejoin_reply(const RejoinReply& msg) {
   joined_once_ = true;
   ++stats_.rejoins;
   trace::emit(sim_, Category::kPress, Kind::kPressRejoin, id(), 0,
-              static_cast<std::int64_t>(coop_mask()));
+              static_cast<std::int64_t>(coop_.mask()));
   mark("rejoined");
   reset_heartbeat_grace();
 }
@@ -931,7 +904,7 @@ void PressNode::add_member(net::NodeId node) {
   if (node == id()) return;
   if (coop_.insert(node)) {
     trace::emit(sim_, Category::kPress, Kind::kPressAddMember, id(), node,
-                static_cast<std::int64_t>(coop_mask()));
+                static_cast<std::int64_t>(coop_.mask()));
     reset_heartbeat_grace();
   }
 }
@@ -947,7 +920,7 @@ void PressNode::node_in(net::NodeId node) {
   if (node == id()) return;
   if (!coop_.insert(node)) return;
   trace::emit(sim_, Category::kPress, Kind::kPressAddMember, id(), node,
-              static_cast<std::int64_t>(coop_mask()));
+              static_cast<std::int64_t>(coop_.mask()));
   mark("node_in", node);
   send_snapshot(node);
 }

@@ -18,7 +18,8 @@
 #include "availsim/press/params.hpp"
 #include "availsim/qmon/qmon.hpp"
 #include "availsim/sim/event_fn.hpp"
-#include "availsim/sim/flat.hpp"
+#include "availsim/sim/id_ring.hpp"
+#include "availsim/sim/node_set.hpp"
 #include "availsim/sim/rng.hpp"
 #include "availsim/sim/simulator.hpp"
 #include "availsim/workload/http.hpp"
@@ -103,7 +104,7 @@ class PressNode {
   bool process_up() const { return process_up_; }
   bool hung() const { return hung_; }
   bool blocked() const { return blocked_; }
-  const sim::FlatSet<net::NodeId>& coop_set() const { return coop_; }
+  const sim::NodeSet& coop_set() const { return coop_; }
   int load() const { return active_requests_; }
   const Stats& stats() const { return stats_; }
   const LruCache& cache() const { return cache_; }
@@ -119,7 +120,6 @@ class PressNode {
   bool helper_ok() const { return process_up_ && !hung_ && host_ok(); }
   bool main_ok() const { return helper_ok() && !blocked_; }
   void mark(const char* m, net::NodeId about = net::kNoNode);
-  std::uint64_t coop_mask() const;
 
   /// Intake for every port: drops the packet if the process is down,
   /// parks it while the thread that reads its port cannot run, and
@@ -188,8 +188,6 @@ class PressNode {
   void arm_forward_sweeper();
   void send_heartbeat();
   void check_predecessor();
-  net::NodeId ring_successor() const;
-  net::NodeId ring_predecessor() const;
   void initiate_exclusion(net::NodeId target);
   void exclude_node(net::NodeId target);
   void send_rejoin_request();
@@ -220,13 +218,9 @@ class PressNode {
   std::uint64_t epoch_ = 0;
 
   // --- application state (reset on restart) ---
-  // Flat sorted containers: iteration is in ascending node-id/request-id
-  // order by construction, so send loops never see hash order, and the
-  // forward path stops paying a node allocation per insert (see hot-alloc
-  // in tools/availlint).
   LruCache cache_;
   Directory dir_;
-  sim::FlatSet<net::NodeId> coop_;
+  sim::NodeSet coop_;
   /// What this process knows about one peer.
   struct Peer {
     static constexpr sim::Time kNever = -1;
@@ -246,7 +240,9 @@ class PressNode {
     net::NodeId peer = net::kNoNode;
     sim::Time deadline = 0;
   };
-  sim::FlatMap<std::uint64_t, PendingForward> forwards_;
+  // By forward id. Every deadline is the send time plus request_shed_age,
+  // so deadlines grow with the id and the sweep walks from the front.
+  sim::IdRing<PendingForward> forwards_;
   std::uint64_t next_forward_id_ = 1;
   std::deque<net::Packet> backlog_;
   std::deque<sim::EventFn> paused_;

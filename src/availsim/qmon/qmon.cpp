@@ -1,5 +1,7 @@
 #include "availsim/qmon/qmon.hpp"
 
+#include <algorithm>
+#include <cassert>
 #include <utility>
 
 namespace availsim::qmon {
@@ -46,36 +48,48 @@ std::optional<SelfMonitoringQueue::Entry>
 SelfMonitoringQueue::pop_transmittable(sim::Time now) {
   if (queue_.empty()) return std::nullopt;
   const Entry& head = queue_.front();
-  if (head.is_request &&
-      in_flight_.size() >= static_cast<std::size_t>(window_)) {
+  if (head.is_request && in_flight_ >= static_cast<std::size_t>(window_)) {
     return std::nullopt;  // window closed: wait for credits
   }
   Entry out = std::move(queue_.front());
   queue_.pop_front();
   if (out.is_request) {
     --queued_requests_;
-    in_flight_.insert(out.request_id);
-    outstanding_.emplace(out.request_id, now);
+    assert(sent_.empty() || sent_.back().request_id < out.request_id);
+    sent_.push_back(Sent{out.request_id, now});
+    ++in_flight_;
   }
   return out;
 }
 
+bool SelfMonitoringQueue::settle(std::uint64_t request_id,
+                                 bool Sent::*flag) {
+  auto it = std::lower_bound(
+      sent_.begin(), sent_.end(), request_id,
+      [](const Sent& s, std::uint64_t id) { return s.request_id < id; });
+  if (it == sent_.end() || it->request_id != request_id || (*it).*flag) {
+    return false;
+  }
+  (*it).*flag = true;
+  if (it->credited && it->completed) sent_.erase(it);
+  return true;
+}
+
 bool SelfMonitoringQueue::credit(std::uint64_t request_id) {
-  return in_flight_.erase(request_id);
+  if (!settle(request_id, &Sent::credited)) return false;
+  --in_flight_;
+  return true;
 }
 
 void SelfMonitoringQueue::complete(std::uint64_t request_id) {
-  outstanding_.erase(request_id);
+  settle(request_id, &Sent::completed);
 }
 
 sim::Time SelfMonitoringQueue::oldest_outstanding_age(sim::Time now) const {
-  sim::Time oldest = 0;
-  // availlint: ordered-ok(commutative max fold)
-  for (const auto& [id, sent] : outstanding_) {
-    const sim::Time age = now > sent ? now - sent : 0;
-    if (age > oldest) oldest = age;
+  for (const Sent& s : sent_) {
+    if (!s.completed) return now > s.at ? now - s.at : 0;
   }
-  return oldest;
+  return 0;
 }
 
 bool SelfMonitoringQueue::over_slow_threshold(sim::Time now) const {
@@ -88,13 +102,15 @@ std::vector<std::uint64_t> SelfMonitoringQueue::purge() {
   for (const auto& e : queue_) {
     if (e.is_request) ids.push_back(e.request_id);
   }
-  // In-flight ids leave in ascending order (flat set iteration): the caller
-  // fails them one by one, so the order is part of the event schedule.
-  ids.insert(ids.end(), in_flight_.begin(), in_flight_.end());
+  // In-flight ids leave in ascending order: the caller fails them one by
+  // one, so the order is part of the event schedule.
+  for (const Sent& s : sent_) {
+    if (!s.credited) ids.push_back(s.request_id);
+  }
   queue_.clear();
   queued_requests_ = 0;
-  in_flight_.clear();
-  outstanding_.clear();
+  sent_.clear();
+  in_flight_ = 0;
   return ids;
 }
 

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -7,7 +8,6 @@
 #include <vector>
 
 #include "availsim/net/packet.hpp"
-#include "availsim/sim/flat.hpp"
 #include "availsim/sim/rng.hpp"
 #include "availsim/sim/time.hpp"
 
@@ -79,7 +79,8 @@ class SelfMonitoringQueue {
   bool credit(std::uint64_t request_id);
 
   /// The peer answered (or the request was abandoned): ends the service-
-  /// age tracking started by pop_transmittable().
+  /// age tracking started by pop_transmittable(). It does not free the
+  /// window slot; only credit() does.
   void complete(std::uint64_t request_id);
 
   /// Drops everything (queued and in flight); returns the queued request
@@ -100,21 +101,37 @@ class SelfMonitoringQueue {
 
   std::size_t queued_requests() const { return queued_requests_; }
   std::size_t queued_total() const { return queue_.size(); }
-  std::size_t in_flight() const { return in_flight_.size(); }
-  std::size_t outstanding() const { return outstanding_.size(); }
+  std::size_t in_flight() const { return in_flight_; }
+  /// Transmitted requests not yet complete()d.
+  std::size_t outstanding() const {
+    return std::count_if(sent_.begin(), sent_.end(),
+                         [](const Sent& s) { return !s.completed; });
+  }
   const QmonPolicy& policy() const { return policy_; }
 
  private:
   QmonPolicy policy_;
   std::size_t block_capacity_;
   int window_;
+  /// A transmitted request, kept until it is both credited and complete.
+  struct Sent {
+    std::uint64_t request_id = 0;
+    sim::Time at = 0;        // transmission time
+    bool credited = false;   // its window slot is free
+    bool completed = false;  // no longer ages
+  };
+  /// Sets `flag` on the transmitted request `request_id`, dropping it once
+  /// both flags are set; false if it is not there or the flag was set.
+  bool settle(std::uint64_t request_id, bool Sent::*flag);
+
   std::deque<Entry> queue_;
   std::size_t queued_requests_ = 0;
-  // Flat containers keyed by monotonic request id: appends at the tail,
-  // ascending iteration, no per-transmit node allocation (see hot-alloc
-  // lint).
-  sim::FlatSet<std::uint64_t> in_flight_;               // awaiting ack (window)
-  sim::FlatMap<std::uint64_t, sim::Time> outstanding_;  // awaiting answer
+  // Transmitted requests in ascending id order: requests are pushed in id
+  // order and leave the queue in order. Times grow with the id too, so the
+  // first entry not complete is the oldest outstanding request. A vector,
+  // not a std::deque: steady traffic allocates nothing.
+  std::vector<Sent> sent_;
+  std::size_t in_flight_ = 0;  // entries not yet credited (the window)
 };
 
 }  // namespace availsim::qmon

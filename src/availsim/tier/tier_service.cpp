@@ -81,14 +81,9 @@ void TierNode::unhang_process() {
 void TierNode::arm_sweeper() {
   sim_.schedule_after(sim::kSecond, [this, e = epoch_] {
     if (epoch_ != e || !process_up_) return;
-    // availlint: ordered-ok(erase-expired sweep; commutative erases+counters)
-    for (auto it = pending_.begin(); it != pending_.end();) {
-      if (sim_.now() > it->second.deadline) {
-        --active_;
-        it = pending_.erase(it);
-      } else {
-        ++it;
-      }
+    while (!pending_.empty() && sim_.now() > pending_.front().deadline) {
+      pending_.erase(pending_.front_id());
+      --active_;
     }
     arm_sweeper();
   });
@@ -135,8 +130,8 @@ void TierNode::on_request(const net::Packet& packet) {
     down.reply_port =
         role_ == Role::kWeb ? ports::kAppReply : ports::kDbReply;
     down.sent_at = request.sent_at;
-    pending_[tag] =
-        PendingDownstream{request, sim_.now() + p_.request_shed_age};
+    pending_.insert(
+        tag, PendingDownstream{request, sim_.now() + p_.request_shed_age});
     const net::NodeId target = downstream_[rr_++ % downstream_.size()];
     net::SendOptions o;
     o.reliable = true;
@@ -153,10 +148,10 @@ void TierNode::on_reply(const net::Packet& packet) {
     return;
   }
   const auto& reply = net::body_as<workload::HttpReply>(packet);
-  auto it = pending_.find(reply.request_id);
-  if (it == pending_.end()) return;  // swept
-  const workload::HttpRequest request = it->second.request;
-  pending_.erase(it);
+  const PendingDownstream* pending = pending_.find(reply.request_id);
+  if (pending == nullptr) return;  // swept
+  const workload::HttpRequest request = pending->request;
+  pending_.erase(reply.request_id);
   schedule_cpu(p_.web_cpu / 2, [this, request] { finish(request); });
 }
 

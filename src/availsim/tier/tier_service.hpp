@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <deque>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "availsim/disk/disk.hpp"
 #include "availsim/net/network.hpp"
+#include "availsim/sim/id_ring.hpp"
 #include "availsim/sim/rng.hpp"
 #include "availsim/workload/http.hpp"
 
@@ -108,7 +108,8 @@ class TierNode {
   int active_ = 0;
   std::uint64_t served_ = 0;
   std::uint64_t next_tag_ = 1;
-  std::unordered_map<std::uint64_t, PendingDownstream> pending_;
+  // By tag. Deadlines grow with the tag, so the sweep walks from the front.
+  sim::IdRing<PendingDownstream> pending_;
   std::deque<net::Packet> backlog_;
 };
 

@@ -108,6 +108,56 @@ void Auditor::check_membership_agreement(const TraceRecord& record) {
   }
 }
 
+void Auditor::check_coop_change(const TraceRecord& record) {
+  const std::string node = std::to_string(record.node);
+  auto it = coop_.find(record.node);
+  if (it == coop_.end()) {
+    return violate(record, "coop-set",
+                   "coop-set change on node " + node +
+                       " whose process is not running");
+  }
+  CoopState& c = it->second;
+  const auto after = static_cast<std::uint64_t>(record.b);
+  const std::uint64_t self = node_bit(record.node);
+  if (self != 0 && (after & self) == 0) {
+    violate(record, "coop-set",
+            "node " + node + " dropped itself from its own coop set " +
+                mask_str(after));
+  }
+  if (record.kind == Kind::kPressSelfExclude) {
+    c = CoopState{sim::NodeSet{record.node}};
+    if (after != self) {
+      violate(record, "coop-set",
+              "self-exclusion of node " + node + " left a non-singleton set " +
+                  mask_str(after));
+    }
+    return;
+  }
+  // A rejoin names no subject: the adds before it built its set.
+  if (record.kind == Kind::kPressRejoin) return;
+  const bool add = record.kind == Kind::kPressAddMember;
+  const auto subject = static_cast<sim::NodeSet::Id>(record.a);
+  const std::string a = std::to_string(record.a);
+  if ((record.a < 64 || !c.high_unknown) &&
+      c.members.contains(subject) == add) {
+    return violate(record, "coop-set",
+                   "node " + node +
+                       (add ? " re-added member " : " excluded non-member ") +
+                       a);
+  }
+  const std::uint64_t before = c.members.mask();
+  if (add) {
+    c.members.insert(subject);
+  } else {
+    c.members.erase(subject);
+  }
+  if (after != c.members.mask()) {
+    violate(record, "coop-set",
+            (add ? "add of " : "exclusion of ") + a + " turned " +
+                mask_str(before) + " into " + mask_str(after));
+  }
+}
+
 void Auditor::on_record(const TraceRecord& record) {
   ++audited_;
   if (record.at < last_at_) {
@@ -150,7 +200,14 @@ void Auditor::on_record(const TraceRecord& record) {
                 "node " + std::to_string(record.node) +
                     " started with a coop set excluding itself");
       }
-      coop_[record.node] = mask;
+      CoopState& c = coop_[record.node];
+      c.members.insert(record.node);
+      for (int n = 0; n < 64; ++n) {
+        if (((mask >> n) & 1) != 0) c.members.insert(n);
+      }
+      // A process under a membership protocol starts alone; only a static
+      // set names other nodes at start.
+      c.high_unknown = (mask & ~self) != 0;
       break;
     }
     case Kind::kPressStop:
@@ -159,52 +216,9 @@ void Auditor::on_record(const TraceRecord& record) {
     case Kind::kPressAddMember:
     case Kind::kPressExclude:
     case Kind::kPressSelfExclude:
-    case Kind::kPressRejoin: {
-      auto it = coop_.find(record.node);
-      if (it == coop_.end()) {
-        violate(record, "coop-set",
-                "coop-set change on node " + std::to_string(record.node) +
-                    " whose process is not running");
-        break;
-      }
-      const auto after = static_cast<std::uint64_t>(record.b);
-      const std::uint64_t self = node_bit(record.node);
-      const std::uint64_t subject = node_bit(record.a);
-      if (self != 0 && (after & self) == 0) {
-        violate(record, "coop-set",
-                "node " + std::to_string(record.node) +
-                    " dropped itself from its own coop set " +
-                    mask_str(after));
-      }
-      if (record.kind == Kind::kPressAddMember && subject != 0) {
-        if ((it->second & subject) != 0) {
-          violate(record, "coop-set",
-                  "node " + std::to_string(record.node) + " re-added member " +
-                      std::to_string(record.a));
-        } else if (after != (it->second | subject)) {
-          violate(record, "coop-set",
-                  "add of " + std::to_string(record.a) + " turned " +
-                      mask_str(it->second) + " into " + mask_str(after));
-        }
-      } else if (record.kind == Kind::kPressExclude && subject != 0) {
-        if ((it->second & subject) == 0) {
-          violate(record, "coop-set",
-                  "node " + std::to_string(record.node) +
-                      " excluded non-member " + std::to_string(record.a));
-        } else if (after != (it->second & ~subject)) {
-          violate(record, "coop-set",
-                  "exclusion of " + std::to_string(record.a) + " turned " +
-                      mask_str(it->second) + " into " + mask_str(after));
-        }
-      } else if (record.kind == Kind::kPressSelfExclude && self != 0 &&
-                 after != self) {
-        violate(record, "coop-set",
-                "self-exclusion of node " + std::to_string(record.node) +
-                    " left a non-singleton set " + mask_str(after));
-      }
-      it->second = after;
+    case Kind::kPressRejoin:
+      check_coop_change(record);
       break;
-    }
 
     // --- heartbeat ring --------------------------------------------------
     case Kind::kPressHbSeen:

@@ -7,6 +7,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "availsim/sim/node_set.hpp"
 #include "availsim/sim/time.hpp"
 #include "availsim/trace/trace.hpp"
 
@@ -56,11 +57,14 @@ struct Violation {
 ///    since the predecessor's last heartbeat.
 ///  * coop-set: cooperation sets change only through the legal
 ///    transitions (start/add/exclude/self-exclude), always contain self,
-///    and shrink only via exclusions.
+///    and shrink only via exclusions. Sets follow the records' subjects, so
+///    this holds at any size; masks are compared on ids below 64.
 ///  * membership-2pc: two CommitChange deliveries with one change id
 ///    never carry different views.
 ///  * membership-agreement: after quiescence, all running daemons hold
 ///    identical views.
+///    Views reach the auditor only as 64-bit masks (their records name no
+///    subject), so both membership checks see members below 64 only.
 ///  * fme-policy: enforcement actions require `confirm` consecutive probe
 ///    failures; restarts respect the cooldown; offline actions require a
 ///    faulty disk on the node.
@@ -91,6 +95,7 @@ class Auditor : public TraceListener {
   void violate(const TraceRecord& record, const char* invariant,
                std::string detail);
   void check_membership_agreement(const TraceRecord& record);
+  void check_coop_change(const TraceRecord& record);
   void reset_node(std::int32_t node);
 
   static std::uint64_t pair_key(std::int32_t node, std::int64_t other) {
@@ -118,8 +123,14 @@ class Auditor : public TraceListener {
   // heartbeat-ring: (node, peer) -> last heartbeat seen
   std::unordered_map<std::uint64_t, sim::Time> hb_seen_;
 
-  // coop-set: node -> mask (tracked only while the process is up)
-  std::unordered_map<std::int32_t, std::uint64_t> coop_;
+  // coop-set: node -> its cooperation set, while its process is up
+  struct CoopState {
+    sim::NodeSet members;
+    // After a static start (no membership protocol), whose mask names only
+    // ids below 64: adds and exclusions of ids from 64 up go unchecked.
+    bool high_unknown = false;
+  };
+  std::unordered_map<std::int32_t, CoopState> coop_;
 
   // membership: per-daemon view state + per-change committed view
   struct MemberState {

@@ -90,18 +90,14 @@ void Client::schedule_next_arrival() {
 }
 
 void Client::send_request(FileId file) {
-  const std::uint64_t id = next_request_id_++;
+  const std::uint64_t id = pending_.end_id();
   const net::NodeId dst = destinations_[rr_ % destinations_.size()];
   ++rr_;
   recorder_.record_offered();
   trace::emit(sim_, trace::Category::kWorkload, trace::Kind::kReqSend,
               self_.id(), static_cast<std::int64_t>(id));
 
-  Pending& pending = pending_.emplace_back();
-  pending.sent = sim_.now();
-  pending.dst = dst;
-  pending.open = true;
-  ++outstanding_;
+  pending_.insert(id, Pending{sim_.now(), dst});
 
   // Connection-refused (process down, node down behind an up link) fails
   // fast, like a TCP RST.
@@ -119,25 +115,13 @@ void Client::send_request(FileId file) {
   if (!completion_armed_) arm_completion_deadline();
 }
 
-Client::Pending* Client::find_open(std::uint64_t request_id) {
-  if (request_id < front_id() || request_id >= next_request_id_) return nullptr;
-  Pending& p = pending_[static_cast<std::size_t>(request_id - front_id())];
-  return p.open ? &p : nullptr;
-}
-
-void Client::close(Pending& pending) {
-  pending.open = false;
-  --outstanding_;
-  while (!pending_.empty() && !pending_.front().open) pending_.pop_front();
-}
-
 // 2 s connect timeout: if the destination is unreachable or dead when the
 // SYN would be answered, the connection attempt is abandoned.
 void Client::on_connect_deadline() {
   connect_armed_ = false;
-  connect_next_ = std::max(connect_next_, front_id());
-  for (; connect_next_ < next_request_id_; ++connect_next_) {
-    const Pending* p = find_open(connect_next_);
+  connect_next_ = std::max(connect_next_, pending_.front_id());
+  for (; connect_next_ < pending_.end_id(); ++connect_next_) {
+    const Pending* p = pending_.find(connect_next_);
     if (p == nullptr) continue;  // closed: nothing to check
     if (p->sent + params_.connect_timeout > sim_.now()) break;
     const bool reachable = net_.path_up(self_.id(), p->dst) &&
@@ -152,13 +136,13 @@ void Client::on_completion_deadline() {
   completion_armed_ = false;
   while (!pending_.empty() &&
          pending_.front().sent + params_.completion_timeout <= sim_.now()) {
-    fail(front_id(), FailureReason::kCompletionTimeout);
+    fail(pending_.front_id(), FailureReason::kCompletionTimeout);
   }
   arm_completion_deadline();
 }
 
 void Client::arm_connect_deadline() {
-  const Pending* next = find_open(connect_next_);
+  const Pending* next = pending_.find(connect_next_);
   if (next == nullptr) return;
   connect_armed_ = true;
   sim_.schedule_at(next->sent + params_.connect_timeout,
@@ -174,18 +158,15 @@ void Client::arm_completion_deadline() {
 
 void Client::on_reply(const net::Packet& packet) {
   const auto& reply = net::body_as<HttpReply>(packet);
-  Pending* p = find_open(reply.request_id);
-  if (p == nullptr) return;  // late reply after timeout: ignored
-  close(*p);
+  // A late reply after a timeout finds nothing: ignored.
+  if (!pending_.erase(reply.request_id)) return;
   trace::emit(sim_, trace::Category::kWorkload, trace::Kind::kReqOk,
               self_.id(), static_cast<std::int64_t>(reply.request_id));
   recorder_.record_success();
 }
 
 void Client::fail(std::uint64_t request_id, FailureReason reason) {
-  Pending* p = find_open(request_id);
-  if (p == nullptr) return;
-  close(*p);
+  if (!pending_.erase(request_id)) return;
   trace::emit(sim_, trace::Category::kWorkload, trace::Kind::kReqFail,
               self_.id(), static_cast<std::int64_t>(request_id),
               static_cast<std::int64_t>(reason));

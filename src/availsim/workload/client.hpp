@@ -1,10 +1,10 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <vector>
 
 #include "availsim/net/network.hpp"
+#include "availsim/sim/id_ring.hpp"
 #include "availsim/sim/rng.hpp"
 #include "availsim/workload/http.hpp"
 #include "availsim/workload/recorder.hpp"
@@ -64,14 +64,13 @@ class Client {
   /// after it runs one arrival stream, not two.
   void stop();
 
-  std::size_t outstanding() const { return outstanding_; }
-  std::uint64_t requests_sent() const { return next_request_id_; }
+  std::size_t outstanding() const { return pending_.size(); }
+  std::uint64_t requests_sent() const { return pending_.end_id(); }
 
  private:
   struct Pending {
     sim::Time sent = 0;
     net::NodeId dst = net::kNoNode;
-    bool open = false;  // false once replied to or failed
   };
 
   /// Schedules the next arrival from the Poisson law or the trace cursor.
@@ -79,14 +78,6 @@ class Client {
   void send_request(FileId file);
   void on_reply(const net::Packet& packet);
   void fail(std::uint64_t request_id, FailureReason reason);
-  /// Id of the ring's front entry (next_request_id_ when it is empty).
-  std::uint64_t front_id() const { return next_request_id_ - pending_.size(); }
-  /// The open request `request_id`, or nullptr if it already completed.
-  Pending* find_open(std::uint64_t request_id);
-  /// Closes an open request and trims closed entries off the front of the
-  /// ring. The deadline walks step over closed entries, so closing never
-  /// touches the event queue.
-  void close(Pending& pending);
   /// Deadline walks. The timeouts are fixed, so deadlines come in id
   /// order, and each kind keeps at most one armed event aimed at its
   /// earliest open deadline: the connect walk at the cursor, the completion
@@ -115,13 +106,11 @@ class Client {
   /// Bumped by start() and stop(): an arrival scheduled under an older
   /// epoch does nothing.
   std::uint64_t epoch_ = 0;
-  std::uint64_t next_request_id_ = 0;
-  // Requests [next_request_id_ - pending_.size(), next_request_id_), in id
-  // order: ids are handed out monotonically, so an id indexes the ring
-  // directly. The front entry is always open (closed ones are trimmed);
-  // closed entries behind it wait for the ids before them to close.
-  std::deque<Pending> pending_;
-  std::size_t outstanding_ = 0;  // open entries in pending_
+  // Open requests by id; ids are handed out in order from 0, so the next
+  // one is pending_.end_id(). A request leaves the ring when it is replied
+  // to or fails; the deadline walks step over the ids already gone, so
+  // closing a request never touches the event queue.
+  sim::IdRing<Pending> pending_;
   // Requests below this id are connect-checked or closed.
   std::uint64_t connect_next_ = 0;
   bool connect_armed_ = false;

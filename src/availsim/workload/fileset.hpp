@@ -13,10 +13,6 @@ using FileId = int;
 struct FileSet {
   int count = 26000;
   std::size_t file_bytes = 27 * 1024;
-
-  std::size_t total_bytes() const {
-    return static_cast<std::size_t>(count) * file_bytes;
-  }
 };
 
 }  // namespace availsim::workload

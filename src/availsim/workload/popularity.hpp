@@ -46,8 +46,6 @@ class HotColdSampler final : public Popularity {
   }
 
   int size() const override { return n_; }
-  int hot_count() const { return hot_; }
-  double hot_weight() const { return w_; }
 
  private:
   int n_;

@@ -113,6 +113,56 @@ TEST_F(AuditorTest, CoopSetIllegalTransitions) {
                                       "coop-set", "coop-set"}));
 }
 
+// Nodes from 64 up have no bit in a record's 64-bit mask. The auditor
+// follows each coop set by the subjects of its records instead, so it still
+// catches illegal transitions there.
+TEST_F(AuditorTest, CoopSetIllegalTransitionsPast64Nodes) {
+  make_auditor();
+  for (std::int32_t n = 97; n <= 101; ++n) {
+    emit(1, Category::kPress, Kind::kPressStart, n, 0);  // alone, no bit
+  }
+  emit(2, Category::kPress, Kind::kPressAddMember, 100, 101, 0);
+  emit(3, Category::kPress, Kind::kPressAddMember, 100, 99, 0);
+  emit(4, Category::kPress, Kind::kPressAddMember, 100, 1, 0b010);
+  emit(5, Category::kPress, Kind::kPressAddMember, 100, 2, 0b110);
+  emit(6, Category::kPress, Kind::kPressExclude, 100, 99, 0b110);
+  emit(7, Category::kPress, Kind::kPressAddMember, 101, 100, 0);
+  emit(8, Category::kPress, Kind::kPressAddMember, 98, 97, 0);
+  ASSERT_TRUE(violations_.empty()) << violations_[0].detail;
+
+  emit(9, Category::kPress, Kind::kPressAddMember, 100, 101, 0b110);
+  emit(10, Category::kPress, Kind::kPressExclude, 100, 97, 0b110);
+  // Self-exclusion leaves {100}, whose mask is empty: naming 1 and 2 is
+  // illegal.
+  emit(11, Category::kPress, Kind::kPressSelfExclude, 100, 0, 0b110);
+  ASSERT_EQ(invariants(), (std::vector<std::string>{"coop-set", "coop-set",
+                                                    "coop-set"}));
+  EXPECT_EQ(violations_[0].detail, "node 100 re-added member 101");
+  EXPECT_EQ(violations_[1].detail, "node 100 excluded non-member 97");
+  EXPECT_EQ(violations_[2].detail,
+            "self-exclusion of node 100 left a non-singleton set {1,2}");
+}
+
+// A static start (no membership protocol) names its whole set only in the
+// 64-bit mask, so members from 64 up are unknown: excluding one is legal.
+// Members below 64 are still checked.
+TEST_F(AuditorTest, CoopSetStaticStartPast64Nodes) {
+  make_auditor();
+  const std::uint64_t all = ~std::uint64_t{0};  // nodes 0-63 (and more)
+  const std::uint64_t no5 = all & ~(std::uint64_t{1} << 5);
+  emit(1, Category::kPress, Kind::kPressStart, 100,
+       static_cast<std::int64_t>(all));
+  emit(2, Category::kPress, Kind::kPressExclude, 100, 120,
+       static_cast<std::int64_t>(all));
+  emit(3, Category::kPress, Kind::kPressExclude, 100, 5,
+       static_cast<std::int64_t>(no5));
+  EXPECT_TRUE(violations_.empty()) << violations_[0].detail;
+  emit(4, Category::kPress, Kind::kPressExclude, 100, 5,
+       static_cast<std::int64_t>(no5));
+  ASSERT_EQ(violations_.size(), 1u);
+  EXPECT_EQ(violations_[0].detail, "node 100 excluded non-member 5");
+}
+
 TEST_F(AuditorTest, CoopSetStateClearedByStop) {
   make_auditor();
   emit(1, Category::kPress, Kind::kPressStart, 0, 0b0011);

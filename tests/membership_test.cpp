@@ -154,7 +154,8 @@ TEST_F(MembershipFixture, BoardVersionAdvancesOnChange) {
 TEST(MembershipBoardTest, PublishDeduplicatesAndSorts) {
   MembershipBoard b;
   b.publish({3, 1, 2});
-  EXPECT_EQ(b.members(), (std::vector<net::NodeId>{1, 2, 3}));
+  EXPECT_EQ(std::vector<net::NodeId>(b.members().begin(), b.members().end()),
+            (std::vector<net::NodeId>{1, 2, 3}));
   const auto v = b.version();
   b.publish({2, 1, 3});  // same set, different order: no new version
   EXPECT_EQ(b.version(), v);

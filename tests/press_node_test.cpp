@@ -8,6 +8,8 @@
 
 #include "availsim/net/network.hpp"
 #include "availsim/press/press_node.hpp"
+#include "availsim/trace/auditor.hpp"
+#include "availsim/trace/trace.hpp"
 #include "availsim/workload/http.hpp"
 
 namespace availsim::press {
@@ -17,7 +19,8 @@ class MiniCluster : public ::testing::Test {
  protected:
   static constexpr int kNodes = 3;
 
-  MiniCluster()
+  /// Nodes get ids first_id, first_id + 1 and first_id + 2.
+  explicit MiniCluster(net::NodeId first_id = 0)
       : cluster_net_(sim_, sim::Rng(1), net_params()),
         client_net_(sim_, sim::Rng(2), net_params()) {
     PressParams params;
@@ -25,9 +28,9 @@ class MiniCluster : public ::testing::Test {
     workload::FileSet files;
     files.count = 1000;
 
-    std::vector<net::NodeId> ids{0, 1, 2};
+    std::vector<net::NodeId> ids{first_id, first_id + 1, first_id + 2};
     for (int i = 0; i < kNodes; ++i) {
-      hosts_.push_back(std::make_unique<net::Host>(sim_, i, "n"));
+      hosts_.push_back(std::make_unique<net::Host>(sim_, ids[i], "n"));
       cluster_net_.attach(*hosts_.back());
       client_net_.attach(*hosts_.back());
       for (int d = 0; d < 2; ++d) {
@@ -334,6 +337,46 @@ TEST_F(MiniCluster, PrewarmPlacesDisjointHotFiles) {
   // Directories point at the right owners.
   EXPECT_TRUE(nodes_[0]->directory().node_caches_file(1, 1) ||
               nodes_[1]->cache().contains(1));
+}
+
+// The same cluster with ids 98-100, which have no bit in a trace record's
+// 64-bit mask: the auditor must follow its coop sets by the records'
+// subjects, through a join, an exclusion and a rejoin, without a false
+// alarm.
+class HighIdCluster : public MiniCluster {
+ protected:
+  HighIdCluster() : MiniCluster(98) {}
+};
+
+TEST_F(HighIdCluster, AuditedJoinExclusionAndRejoinStayClean) {
+  trace::Tracer tracer;
+  const PressParams p;
+  trace::AuditorConfig cfg;
+  cfg.hb_deadline = p.heartbeat_tolerance * p.heartbeat_period +
+                    p.heartbeat_period / 2;
+  trace::Auditor auditor(tracer, cfg);
+  std::vector<trace::Violation> violations;
+  auditor.on_violation = [&](const trace::Violation& v) {
+    violations.push_back(v);
+  };
+  sim_.set_tracer(&tracer);
+
+  boot();  // join: each node rejoins the ring the others formed
+  for (auto& n : nodes_) EXPECT_EQ(n->coop_set().size(), 3u);
+  nodes_[1]->crash_process();  // node 99: excluded by its ring neighbours
+  hosts_[1]->crash();
+  sim_.run_until(40 * sim::kSecond);
+  EXPECT_FALSE(nodes_[0]->coop_set().contains(99));
+  EXPECT_FALSE(nodes_[2]->coop_set().contains(99));
+  hosts_[1]->reboot();
+  nodes_[1]->start();  // rejoin
+  sim_.run_until(60 * sim::kSecond);
+  for (auto& n : nodes_) EXPECT_EQ(n->coop_set().size(), 3u);
+  sim_.set_tracer(nullptr);
+
+  EXPECT_GT(auditor.records_audited(), 0u);
+  EXPECT_TRUE(violations.empty())
+      << violations.front().invariant << ": " << violations.front().detail;
 }
 
 }  // namespace

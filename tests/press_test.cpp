@@ -14,7 +14,7 @@
 #include "availsim/press/directory.hpp"
 #include "availsim/press/params.hpp"
 #include "availsim/qmon/qmon.hpp"
-#include "availsim/sim/flat.hpp"
+#include "availsim/sim/node_set.hpp"
 #include "availsim/sim/rng.hpp"
 
 namespace availsim::press {
@@ -254,7 +254,7 @@ TEST(Directory, BestServiceNodePicksLeastLoaded) {
   d.node_caches(2, 7);
   d.set_load(1, 10);
   d.set_load(2, 3);
-  sim::FlatSet<net::NodeId> coop{0, 1, 2};
+  sim::NodeSet coop{0, 1, 2};
   auto best = d.best_service_node(7, coop);
   ASSERT_TRUE(best.has_value());
   EXPECT_EQ(*best, 2);
@@ -264,13 +264,13 @@ TEST(Directory, BestServiceNodeHonorsCoopSet) {
   Directory d;
   d.node_caches(1, 7);
   d.set_load(1, 0);
-  sim::FlatSet<net::NodeId> coop{0, 2};  // node 1 excluded
+  sim::NodeSet coop{0, 2};  // node 1 excluded
   EXPECT_FALSE(d.best_service_node(7, coop).has_value());
 }
 
 TEST(Directory, UnknownFileHasNoServiceNode) {
   Directory d;
-  sim::FlatSet<net::NodeId> coop{0, 1};
+  sim::NodeSet coop{0, 1};
   EXPECT_FALSE(d.best_service_node(99, coop).has_value());
 }
 
@@ -304,7 +304,7 @@ TEST(Directory, LoadTiesBreakOnInsertionOrder) {
   d.node_caches(3, 5);
   d.node_caches(1, 5);
   d.node_caches(2, 5);
-  sim::FlatSet<net::NodeId> coop;
+  sim::NodeSet coop;
   for (net::NodeId n : {1, 2, 3}) coop.insert(n);
   EXPECT_EQ(d.best_service_node(5, coop), 3);
   d.node_evicts(3, 5);
@@ -323,7 +323,7 @@ TEST(Directory, NodeIdPastInlineRangeThrows) {
   EXPECT_FALSE(d.node_caches_file(32767, 7));
   EXPECT_FALSE(d.node_caches_file(40000, 8));
   EXPECT_EQ(d.files_known_for(32766), 1u);
-  const sim::FlatSet<net::NodeId> coop{32766, 32767, 40000};
+  const sim::NodeSet coop{32766, 32767, 40000};
   EXPECT_EQ(d.best_service_node(7, coop), 32766);
   EXPECT_EQ(d.best_service_node(8, coop), std::nullopt);
 }
@@ -363,7 +363,7 @@ class ReferenceDirectory {
   }
 
   std::optional<net::NodeId> best_service_node(
-      workload::FileId file, const sim::FlatSet<net::NodeId>& coop) const {
+      workload::FileId file, const sim::NodeSet& coop) const {
     std::optional<net::NodeId> best;
     int best_load = 0;
     for (net::NodeId n : replicas(file)) {
@@ -416,7 +416,7 @@ TEST_P(DirectoryOracleTest, MatchesVectorAndMapReference) {
   const auto any_file = [&] {
     return static_cast<workload::FileId>(rng.uniform_int(0, kFiles - 1));
   };
-  sim::FlatSet<net::NodeId> everyone;
+  sim::NodeSet everyone;
   for (net::NodeId n = 0; n < nodes; ++n) everyone.insert(n);
   // Ops that take their file from two replicas (held inline) to three or
   // more (pooled), and from three or more back to two; and the longest
@@ -475,7 +475,7 @@ TEST_P(DirectoryOracleTest, MatchesVectorAndMapReference) {
     ASSERT_EQ(dir.files_known_for(n), ref.files_known_for(n)) << "op " << op;
     ASSERT_EQ(dir.load(n), ref.load(n)) << "op " << op;
     if (op % 100 != 0) continue;
-    sim::FlatSet<net::NodeId> subset;
+    sim::NodeSet subset;
     for (net::NodeId m = 0; m < nodes; ++m) {
       if (rng.bernoulli(0.5)) subset.insert(m);
     }

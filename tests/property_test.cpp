@@ -10,7 +10,7 @@
 #include "availsim/model/scaling.hpp"
 #include "availsim/press/cache.hpp"
 #include "availsim/press/directory.hpp"
-#include "availsim/sim/flat.hpp"
+#include "availsim/sim/node_set.hpp"
 
 namespace availsim {
 namespace {
@@ -268,7 +268,7 @@ TEST(Property, BestServiceNodeAlwaysReturnsCachingCoopMember) {
     dir.set_load(static_cast<int>(rng.uniform_int(0, 5)),
                  static_cast<int>(rng.uniform_int(0, 100)));
   }
-  sim::FlatSet<net::NodeId> coop{0, 2, 4};
+  sim::NodeSet coop{0, 2, 4};
   for (workload::FileId f = 0; f <= 50; ++f) {
     auto best = dir.best_service_node(f, coop);
     if (best) {

@@ -2,11 +2,15 @@
 
 #include <array>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <set>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "availsim/sim/id_ring.hpp"
+#include "availsim/sim/node_set.hpp"
 #include "availsim/sim/rng.hpp"
 #include "availsim/sim/simulator.hpp"
 #include "availsim/sim/time.hpp"
@@ -373,6 +377,130 @@ TEST(Simulator, EventsScheduledFromHandlersRun) {
   sim.run();
   EXPECT_EQ(depth, 100);
   EXPECT_EQ(sim.events_processed(), 100u);
+}
+
+TEST(NodeSet, MembershipIterationAndMask) {
+  NodeSet s{130, 3, 64, 0};
+  EXPECT_EQ(s.size(), 4u);
+  EXPECT_EQ(std::vector<int>(s.begin(), s.end()),
+            (std::vector<int>{0, 3, 64, 130}));
+  EXPECT_FALSE(s.insert(3));
+  EXPECT_TRUE(s.contains(130));
+  EXPECT_FALSE(s.contains(-1));
+  EXPECT_FALSE(s.contains(1000));
+  EXPECT_TRUE(s.erase(64));
+  EXPECT_FALSE(s.erase(64));
+  EXPECT_FALSE(s.erase(999));
+  EXPECT_EQ(s.mask(), 0b1001u);  // 130 has no bit
+  EXPECT_EQ(*s.begin(), 0);
+}
+
+TEST(NodeSet, RingNeighboursWrapAround) {
+  const NodeSet ring{2, 5, 70};
+  EXPECT_EQ(ring.after(2), 5);
+  EXPECT_EQ(ring.after(5), 70);
+  EXPECT_EQ(ring.after(70), 2);
+  EXPECT_EQ(ring.before(2), 70);
+  EXPECT_EQ(ring.before(5), 2);
+  EXPECT_EQ(ring.before(70), 5);
+  const NodeSet alone{9};
+  EXPECT_EQ(alone.after(9), 9);
+  EXPECT_EQ(alone.before(9), 9);
+}
+
+TEST(NodeSet, EqualityIgnoresStorageLength) {
+  NodeSet a{1, 2};
+  NodeSet b{1, 2, 200};
+  EXPECT_NE(a, b);
+  b.erase(200);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(b, a);
+  NodeSet cleared{500};
+  cleared.clear();
+  EXPECT_TRUE(cleared.empty());
+  EXPECT_EQ(cleared, NodeSet{});
+  EXPECT_TRUE(cleared.begin() == cleared.end());
+}
+
+TEST(NodeSet, MatchesStdSetUnderRandomEdits) {
+  Rng rng(3);
+  NodeSet s;
+  std::set<int> oracle;
+  for (int i = 0; i < 5000; ++i) {
+    const int id = static_cast<int>(rng.uniform_int(0, 199));
+    if (rng.bernoulli(0.5)) {
+      ASSERT_EQ(s.insert(id), oracle.insert(id).second);
+    } else {
+      ASSERT_EQ(s.erase(id), oracle.erase(id) == 1);
+    }
+    ASSERT_EQ(s.size(), oracle.size());
+  }
+  EXPECT_EQ(std::vector<int>(s.begin(), s.end()),
+            std::vector<int>(oracle.begin(), oracle.end()));
+}
+
+TEST(IdRing, GapsTrimAndGrowth) {
+  IdRing<int> r;
+  EXPECT_TRUE(r.empty());
+  EXPECT_EQ(r.find(0), nullptr);
+  r.insert(5, 50);
+  r.insert(7, 70);  // 6 is skipped: absent
+  EXPECT_EQ(r.front_id(), 5u);
+  EXPECT_EQ(r.end_id(), 8u);
+  EXPECT_EQ(r.find(6), nullptr);
+  EXPECT_TRUE(r.erase(5));
+  EXPECT_EQ(r.front_id(), 7u);  // the absent 6 is trimmed too
+  EXPECT_FALSE(r.erase(5));
+  for (std::uint64_t id = 8; id < 100; ++id) {
+    r.insert(id, static_cast<int>(10 * id));  // grows past the first buffer
+  }
+  EXPECT_EQ(r.size(), 93u);
+  EXPECT_EQ(*r.find(7), 70);
+  EXPECT_EQ(*r.find(99), 990);
+  EXPECT_EQ(r.front(), 70);
+  r.clear();
+  EXPECT_TRUE(r.empty());
+  EXPECT_EQ(r.front_id(), 100u);
+  EXPECT_EQ(r.find(50), nullptr);
+  r.insert(1000, 1);  // an empty ring restarts its span at the new id
+  EXPECT_EQ(r.front_id(), 1000u);
+  EXPECT_EQ(r.size(), 1u);
+}
+
+TEST(IdRing, MatchesStdMapUnderRandomTraffic) {
+  Rng rng(5);
+  IdRing<std::uint64_t> r;
+  std::map<std::uint64_t, std::uint64_t> oracle;
+  std::uint64_t next = 0;
+  for (int i = 0; i < 20000; ++i) {
+    if (oracle.size() < 300 && rng.bernoulli(0.55)) {
+      next += 1 + static_cast<std::uint64_t>(rng.uniform_int(0, 2));
+      r.insert(next, 3 * next);
+      oracle[next] = 3 * next;
+    } else if (!oracle.empty()) {
+      // Mostly the oldest entries, sometimes any, like replies and sweeps.
+      auto it = oracle.begin();
+      if (rng.bernoulli(0.5)) {
+        std::advance(it, rng.uniform_int(
+                             0, static_cast<std::int64_t>(oracle.size()) - 1));
+      }
+      ASSERT_TRUE(r.erase(it->first));
+      oracle.erase(it);
+    }
+    ASSERT_EQ(r.size(), oracle.size());
+    if (!oracle.empty()) {
+      ASSERT_EQ(r.front_id(), oracle.begin()->first);
+      ASSERT_EQ(r.front(), oracle.begin()->second);
+    }
+  }
+  for (std::uint64_t id = 0; id <= next; ++id) {
+    const auto it = oracle.find(id);
+    const std::uint64_t* got = r.find(id);
+    ASSERT_EQ(got != nullptr, it != oracle.end()) << id;
+    if (got != nullptr) {
+      EXPECT_EQ(*got, it->second);
+    }
+  }
 }
 
 TEST(Rng, DeterministicForSeed) {
